@@ -1,7 +1,7 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
 # build, the full test suite under the race detector, and a one-iteration
 # benchmark smoke pass so bench-only code paths can't rot unbuilt.
-.PHONY: verify fmt test bench bench-smoke bench-json bench-gate bench-baseline
+.PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -12,6 +12,23 @@ verify:
 	go build ./...
 	go test -race ./...
 	$(MAKE) bench-smoke
+
+# stress runs the concurrency tests under the race detector at GOMAXPROCS
+# 1, 2, 4 and 8, STRESS_COUNT times each, so a retry loop that is only
+# live on one core (or a race only two cores expose) fails here first:
+# wound-wait restarts (actor transfers), store conflict retries, geo
+# convergence on every cell, and pipelined submission on every cell.
+STRESS_COUNT ?= 20
+stress:
+	@set -e; for p in 1 2 4 8; do \
+		echo "== GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p go test -race -count $(STRESS_COUNT) \
+			-run '^TestTxnConcurrentTransfersConserveMoney$$' ./internal/actor; \
+		GOMAXPROCS=$$p go test -race -count $(STRESS_COUNT) \
+			-run '^TestUpdateRetriesConflicts$$' ./internal/store; \
+		GOMAXPROCS=$$p go test -race -count $(STRESS_COUNT) \
+			-run '^(TestGeoAsyncConvergenceAllCells|TestConcurrentSubmitMatchesSerialReference)$$' .; \
+	done
 
 fmt:
 	gofmt -w .

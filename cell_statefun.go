@@ -1,7 +1,7 @@
 package tca
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,6 +37,11 @@ import (
 // asynchronously and writes land asynchronously: there is no isolation
 // across keys, the §4.2 gap E7/E17 demonstrate. Chunking widens the
 // gather window, it does not change the guarantee.
+//
+// Every choreography record — the sfMsg payloads, the write tail kept
+// between emit rounds, and the result and probe records on the egress —
+// is encoded with the statefun runtime's binary wire codec (fields in a
+// fixed order, uvarint length prefixes, no tags); see sfMsg.encode.
 type statefunCell struct {
 	app *App
 	sf  *statefun.App
@@ -69,33 +74,113 @@ type statefunCell struct {
 // legitimately vary in dynamic type.
 type sfErrBox struct{ err error }
 
-// sfMsg is the choreography wire format.
+// sfKind tags a choreography message; the zero value is not a kind.
+type sfKind uint8
+
+const (
+	sfOp    sfKind = iota + 1 // ingress -> txn: run op Op on Args
+	sfCont                    // txn -> itself: continue the read scatter
+	sfRead                    // txn -> key: read request
+	sfResp                    // key -> txn: the key's Val and Found
+	sfFlush                   // txn -> itself: emit the next write chunk
+	sfPut                     // txn -> key: set Val
+	sfAdd                     // txn -> key: add Delta
+	sfPush                    // txn -> key: merge ID into the list bounded by Cap
+	sfProbe                   // ingress -> key: emit the value as record Probe
+)
+
+// sfMsg is one choreography message, the payload of a runtime envelope.
+// Each kind uses only some of the fields; the rest stay zero.
 type sfMsg struct {
-	Kind  string `json:"k"` // "op", "cont", "read", "resp", "flush", "put", "add", "push", "probe"
-	Req   string `json:"r,omitempty"`
-	Op    string `json:"o,omitempty"`
-	Args  []byte `json:"a,omitempty"`
-	Key   string `json:"key,omitempty"`
-	Val   []byte `json:"v,omitempty"`
-	Found bool   `json:"f,omitempty"`
-	Delta int64  `json:"d,omitempty"`
-	ID    int64  `json:"id,omitempty"`
-	Cap   int    `json:"c,omitempty"`
-	Probe string `json:"p,omitempty"`
+	Kind  sfKind
+	Req   string
+	Op    string
+	Args  []byte
+	Key   string
+	Val   []byte
+	Found bool
+	Delta int64
+	ID    int64
+	Cap   int
+	Probe string
 }
 
+// encode is the wire form of m: every field in declaration order — Kind
+// as one byte, strings and byte slices length-prefixed, integers as
+// signed varints — so an unused field costs one byte.
+func (m sfMsg) encode() []byte {
+	n := len(m.Req) + len(m.Op) + len(m.Args) + len(m.Key) + len(m.Val) + len(m.Probe)
+	b := make([]byte, 0, n+32)
+	b = append(b, byte(m.Kind))
+	b = statefun.AppendString(b, m.Req)
+	b = statefun.AppendString(b, m.Op)
+	b = statefun.AppendBytes(b, m.Args)
+	b = statefun.AppendString(b, m.Key)
+	b = statefun.AppendBytes(b, m.Val)
+	b = statefun.AppendBool(b, m.Found)
+	b = binary.AppendVarint(b, m.Delta)
+	b = binary.AppendVarint(b, m.ID)
+	b = binary.AppendVarint(b, int64(m.Cap))
+	return statefun.AppendString(b, m.Probe)
+}
+
+// decodeSfMsg parses an encoded sfMsg. Args and Val alias b (see
+// statefun.Decoder): the state backend copies whatever is stored, and
+// nothing downstream mutates them.
+func decodeSfMsg(b []byte) (sfMsg, error) {
+	d := statefun.NewDecoder(b)
+	m := sfMsg{
+		Kind:  sfKind(d.Byte()),
+		Req:   d.String(),
+		Op:    d.String(),
+		Args:  d.Bytes(),
+		Key:   d.String(),
+		Val:   d.Bytes(),
+		Found: d.Bool(),
+		Delta: d.Varint(),
+		ID:    d.Varint(),
+		Cap:   int(d.Varint()),
+		Probe: d.String(),
+	}
+	return m, d.Finish()
+}
+
+// sfProbeResp answers a probe on the egress: Found, then Val.
 type sfProbeResp struct {
-	Val   []byte `json:"v"`
-	Found bool   `json:"f"`
+	Val   []byte
+	Found bool
+}
+
+func (r sfProbeResp) encode() []byte {
+	b := statefun.AppendBool(make([]byte, 0, len(r.Val)+8), r.Found)
+	return statefun.AppendBytes(b, r.Val)
+}
+
+func decodeSfProbeResp(b []byte) (sfProbeResp, error) {
+	d := statefun.NewDecoder(b)
+	r := sfProbeResp{Found: d.Bool(), Val: d.Bytes()}
+	return r, d.Finish()
 }
 
 // sfDone is the choreography's result record, emitted on the egress under
 // the key "done/<reqID>" when the txn function has run the body and
 // shipped the last write chunk. Err carries a body failure — the drop an
-// asynchronous cell could never report to its caller before Submit.
+// asynchronous cell could never report to its caller before Submit. Its
+// wire form is Err, then Val.
 type sfDone struct {
-	Val []byte `json:"v,omitempty"`
-	Err string `json:"e,omitempty"`
+	Val []byte
+	Err string
+}
+
+func (o sfDone) encode() []byte {
+	b := statefun.AppendString(make([]byte, 0, len(o.Err)+len(o.Val)+8), o.Err)
+	return statefun.AppendBytes(b, o.Val)
+}
+
+func decodeSfDone(b []byte) (sfDone, error) {
+	d := statefun.NewDecoder(b)
+	o := sfDone{Err: d.String(), Val: d.Bytes()}
+	return o, d.Finish()
 }
 
 // sfPending pairs an in-flight handle with its trace (the result hop is
@@ -149,8 +234,8 @@ func newStatefunCell(app *App, env *Env, opts Options) (*statefunCell, error) {
 				c.resolveDone(req, value)
 				return
 			}
-			var resp sfProbeResp
-			if json.Unmarshal(value, &resp) != nil {
+			resp, err := decodeSfProbeResp(value)
+			if err != nil {
 				return
 			}
 			c.mu.Lock()
@@ -197,10 +282,16 @@ func (c *statefunCell) handlerErrors() (int64, error) {
 	return c.handlerErrs.Load(), box.err
 }
 
+// droppedRecords returns how many records the runtime's dispatch dropped
+// (statefun.dropped): malformed envelopes and unregistered function types.
+func (c *statefunCell) droppedRecords() int64 {
+	return c.sf.Job().Metrics().Counter("statefun.dropped").Value()
+}
+
 // resolveDone completes the in-flight handle whose result record landed.
 func (c *statefunCell) resolveDone(reqID string, value []byte) {
-	var out sfDone
-	if json.Unmarshal(value, &out) != nil {
+	out, err := decodeSfDone(value)
+	if err != nil {
 		return
 	}
 	c.resMu.Lock()
@@ -222,27 +313,26 @@ func (c *statefunCell) resolveDone(reqID string, value []byte) {
 
 // keyHandler owns one key's state (scoped under the function instance).
 func (c *statefunCell) keyHandler(ctx *statefun.Ctx, payload []byte) error {
-	var m sfMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	m, err := decodeSfMsg(payload)
+	if err != nil {
 		return err
 	}
 	switch m.Kind {
-	case "read":
+	case sfRead:
 		val, found := ctx.Get("v")
-		reply, _ := json.Marshal(sfMsg{Kind: "resp", Req: m.Req, Key: ctx.Self.ID, Val: val, Found: found})
-		return ctx.Send(ctx.Caller, reply)
-	case "put":
+		reply := sfMsg{Kind: sfResp, Req: m.Req, Key: ctx.Self.ID, Val: val, Found: found}
+		return ctx.Send(ctx.Caller, reply.encode())
+	case sfPut:
 		ctx.Set("v", m.Val)
-	case "add":
+	case sfAdd:
 		cur, _ := ctx.Get("v")
 		ctx.Set("v", EncodeInt(DecodeInt(cur)+m.Delta))
-	case "push":
+	case sfPush:
 		cur, _ := ctx.Get("v")
 		ctx.Set("v", EncodeIntList(mergeBounded(DecodeIntList(cur), m.ID, m.Cap)))
-	case "probe":
+	case sfProbe:
 		val, found := ctx.Get("v")
-		out, _ := json.Marshal(sfProbeResp{Val: val, Found: found})
-		ctx.SendEgress(m.Probe, out)
+		ctx.SendEgress(m.Probe, sfProbeResp{Val: val, Found: found}.encode())
 	}
 	return nil
 }
@@ -253,12 +343,12 @@ func (c *statefunCell) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 // reqID) holds the pending op, the scatter cursor, and the un-emitted
 // writes between rounds.
 func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
-	var m sfMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	m, err := decodeSfMsg(payload)
+	if err != nil {
 		return err
 	}
 	switch m.Kind {
-	case "op":
+	case sfOp:
 		op, ok := c.app.Op(m.Op)
 		if !ok {
 			return opError(c.app, m.Op)
@@ -271,15 +361,15 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		ctx.Set("want", EncodeInt(int64(len(keys))))
 		ctx.Set("got", EncodeInt(0))
 		return c.scatterReads(ctx, keys, 0)
-	case "cont":
+	case sfCont:
 		// Continuation of the read scatter: recompute the declared key
 		// set from the stored op and resume from the cursor.
 		opRaw, ok := ctx.Get("op")
 		if !ok {
 			return nil // already completed (replayed continuation)
 		}
-		var pending sfMsg
-		if err := json.Unmarshal(opRaw, &pending); err != nil {
+		pending, err := decodeSfMsg(opRaw)
+		if err != nil {
 			return err
 		}
 		op, okOp := c.app.Op(pending.Op)
@@ -288,7 +378,7 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		}
 		cursorRaw, _ := ctx.Get("next")
 		return c.scatterReads(ctx, c.app.keysOf(op, pending.Args), int(DecodeInt(cursorRaw)))
-	case "resp":
+	case sfResp:
 		if m.Found {
 			ctx.Set("val/"+m.Key, m.Val)
 		}
@@ -303,8 +393,8 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if !ok {
 			return nil
 		}
-		var pending sfMsg
-		if err := json.Unmarshal(opRaw, &pending); err != nil {
+		pending, err := decodeSfMsg(opRaw)
+		if err != nil {
 			return err
 		}
 		op, okOp := c.app.Op(pending.Op)
@@ -323,15 +413,15 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		ctx.Del("got")
 		ctx.Del("next")
 		return c.runBody(ctx, op, pending.Args, snapshot)
-	case "flush":
+	case sfFlush:
 		// Continuation of the write emit: ship the next chunk of the
 		// writes stored by the previous round.
 		pendRaw, ok := ctx.Get("pend")
 		if !ok {
 			return nil // already flushed (replayed continuation)
 		}
-		var writes []sfWrite
-		if err := json.Unmarshal(pendRaw, &writes); err != nil {
+		writes, err := decodeSfWrites(pendRaw)
+		if err != nil {
 			return err
 		}
 		return c.emitWrites(ctx, writes)
@@ -351,8 +441,8 @@ func (c *statefunCell) scatterReads(ctx *statefun.Ctx, keys []string, from int) 
 		n = budget - 1
 	}
 	for _, k := range keys[from : from+n] {
-		req, _ := json.Marshal(sfMsg{Kind: "read", Req: ctx.Self.ID, Key: k})
-		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: k}, req); err != nil {
+		req := sfMsg{Kind: sfRead, Req: ctx.Self.ID, Key: k}
+		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: k}, req.encode()); err != nil {
 			return err
 		}
 	}
@@ -360,8 +450,7 @@ func (c *statefunCell) scatterReads(ctx *statefun.Ctx, keys []string, from int) 
 		return nil
 	}
 	ctx.Set("next", EncodeInt(int64(from+n)))
-	cont, _ := json.Marshal(sfMsg{Kind: "cont"})
-	return ctx.SendSelf(cont)
+	return ctx.SendSelf(sfMsg{Kind: sfCont}.encode())
 }
 
 // emitWrites ships writes to the key functions, reserving the last send
@@ -376,16 +465,16 @@ func (c *statefunCell) emitWrites(ctx *statefun.Ctx, writes []sfWrite) error {
 		n = budget - 1
 	}
 	for _, w := range writes[:n] {
-		var msg []byte
+		var msg sfMsg
 		switch {
 		case w.Set:
-			msg, _ = json.Marshal(sfMsg{Kind: "put", Key: w.Key, Val: w.Val})
+			msg = sfMsg{Kind: sfPut, Key: w.Key, Val: w.Val}
 		case w.Push:
-			msg, _ = json.Marshal(sfMsg{Kind: "push", Key: w.Key, ID: w.ID, Cap: w.Cap})
+			msg = sfMsg{Kind: sfPush, Key: w.Key, ID: w.ID, Cap: w.Cap}
 		default:
-			msg, _ = json.Marshal(sfMsg{Kind: "add", Key: w.Key, Delta: w.Delta})
+			msg = sfMsg{Kind: sfAdd, Key: w.Key, Delta: w.Delta}
 		}
-		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: w.Key}, msg); err != nil {
+		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: w.Key}, msg.encode()); err != nil {
 			return err
 		}
 	}
@@ -400,13 +489,8 @@ func (c *statefunCell) emitWrites(ctx *statefun.Ctx, writes []sfWrite) error {
 		c.sendDone(ctx, res, nil)
 		return nil
 	}
-	rest, err := json.Marshal(writes[n:])
-	if err != nil {
-		return err
-	}
-	ctx.Set("pend", rest)
-	cont, _ := json.Marshal(sfMsg{Kind: "flush"})
-	return ctx.SendSelf(cont)
+	ctx.Set("pend", encodeSfWrites(writes[n:]))
+	return ctx.SendSelf(sfMsg{Kind: sfFlush}.encode())
 }
 
 // runBody executes the body over the gathered snapshot and sends its
@@ -444,8 +528,7 @@ func (c *statefunCell) sendDone(ctx *statefun.Ctx, val []byte, err error) {
 	if err != nil {
 		out.Err = err.Error()
 	}
-	raw, _ := json.Marshal(out)
-	ctx.SendEgress(sfDonePrefix+ctx.Self.ID, raw)
+	ctx.SendEgress(sfDonePrefix+ctx.Self.ID, out.encode())
 }
 
 // sfTxn runs a body over the choreography's gathered snapshot. Writes are
@@ -456,17 +539,62 @@ type sfTxn struct {
 	writes   []sfWrite
 }
 
-// sfWrite is one buffered write; fields are exported because the write
-// tail of a chunked emit round persists JSON-encoded in the txn
-// function's scoped state between invocations.
+// sfWrite is one buffered write. The write tail of a chunked emit round
+// persists in the txn function's scoped state between invocations,
+// encoded by encodeSfWrites.
 type sfWrite struct {
-	Key   string `json:"k"`
-	Set   bool   `json:"s,omitempty"`
-	Val   []byte `json:"v,omitempty"`
-	Delta int64  `json:"d,omitempty"`
-	Push  bool   `json:"p,omitempty"`
-	ID    int64  `json:"id,omitempty"`
-	Cap   int    `json:"c,omitempty"`
+	Key   string
+	Set   bool
+	Val   []byte
+	Delta int64
+	Push  bool
+	ID    int64
+	Cap   int
+}
+
+// sfWriteMinSize is the fewest bytes one encoded write takes: five
+// one-byte fields and two one-byte length prefixes.
+const sfWriteMinSize = 7
+
+// encodeSfWrites is the wire form of a write tail: the write count, then
+// each write's fields in declaration order.
+func encodeSfWrites(ws []sfWrite) []byte {
+	n := binary.MaxVarintLen64
+	for _, w := range ws {
+		n += len(w.Key) + len(w.Val) + 3*binary.MaxVarintLen64
+	}
+	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(ws)))
+	for _, w := range ws {
+		b = statefun.AppendString(b, w.Key)
+		b = statefun.AppendBool(b, w.Set)
+		b = statefun.AppendBytes(b, w.Val)
+		b = binary.AppendVarint(b, w.Delta)
+		b = statefun.AppendBool(b, w.Push)
+		b = binary.AppendVarint(b, w.ID)
+		b = binary.AppendVarint(b, int64(w.Cap))
+	}
+	return b
+}
+
+// decodeSfWrites parses an encoded write tail; Val fields alias b.
+func decodeSfWrites(b []byte) ([]sfWrite, error) {
+	d := statefun.NewDecoder(b)
+	ws := make([]sfWrite, d.Count(sfWriteMinSize))
+	for i := range ws {
+		ws[i] = sfWrite{
+			Key:   d.String(),
+			Set:   d.Bool(),
+			Val:   d.Bytes(),
+			Delta: d.Varint(),
+			Push:  d.Bool(),
+			ID:    d.Varint(),
+			Cap:   int(d.Varint()),
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return ws, nil
 }
 
 func (t *sfTxn) Get(key string) ([]byte, bool, error) {
@@ -545,7 +673,7 @@ func (c *statefunCell) Submit(reqID, opName string, args []byte, tr *fabric.Trac
 	}
 	c.resolvers[reqID] = sfPending{h: h, tr: tr}
 	c.resMu.Unlock()
-	payload, _ := json.Marshal(sfMsg{Kind: "op", Req: reqID, Op: opName, Args: args})
+	payload := sfMsg{Kind: sfOp, Req: reqID, Op: opName, Args: args}.encode()
 	tr.Charge(time.Millisecond / 2) // acceptance: one produce hop
 	if err := c.sf.SendToIngress(statefun.Ref{Type: sfTxnFn, ID: reqID}, payload); err != nil {
 		c.resMu.Lock()
@@ -592,7 +720,7 @@ func (c *statefunCell) Peek(key string) ([]byte, bool, error) {
 	c.mu.Lock()
 	c.probes[probe] = ch
 	c.mu.Unlock()
-	msg, _ := json.Marshal(sfMsg{Kind: "probe", Probe: probe})
+	msg := sfMsg{Kind: sfProbe, Probe: probe}.encode()
 	if err := c.sf.SendToIngress(statefun.Ref{Type: sfKeyFn, ID: key}, msg); err != nil {
 		return nil, false, err
 	}

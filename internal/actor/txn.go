@@ -79,19 +79,25 @@ func (t *ActorTxn) charge(ref Ref) error {
 }
 
 // Run executes fn as one ACID transaction across any set of actors,
-// retrying on concurrency-control conflicts. The trace accumulates every
-// coordination hop, so callers can compare the simulated latency against
-// untransactional actor calls.
+// retrying on concurrency-control conflicts. A retry restarts the store
+// transaction (store.Txn.Restart), keeping its wound-wait age, so a
+// wounded transaction gets older relative to newcomers and eventually
+// wins. The trace accumulates every coordination hop, so callers can
+// compare the simulated latency against untransactional actor calls.
 func (c *Coordinator) Run(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
 	coord, err := c.sys.cluster.PlaceAlive("txn-coordinator")
 	if err != nil {
 		return err
 	}
 	var lastErr error
+	tx := c.sys.db.Begin(store.Locking2PL)
 	for attempt := 0; attempt <= c.Retries; attempt++ {
+		if attempt > 0 {
+			tx = tx.Restart()
+		}
 		t := &ActorTxn{
 			sys:          c.sys,
-			tx:           c.sys.db.Begin(store.Locking2PL),
+			tx:           tx,
 			trace:        tr,
 			coord:        coord,
 			participants: make(map[fabric.NodeID]struct{}),
@@ -139,17 +145,22 @@ func (c *Coordinator) Run(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
 // against concurrent writers), but there is nothing to vote on, so the
 // prepare and commit rounds — two round trips per participant node — are
 // skipped entirely. This is the classic read-only optimization of
-// two-phase commit, and exactly the coordination a query saves.
+// two-phase commit, and exactly the coordination a query saves. Retries
+// restart the store transaction like Run's.
 func (c *Coordinator) RunReadOnly(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
 	coord, err := c.sys.cluster.PlaceAlive("txn-coordinator")
 	if err != nil {
 		return err
 	}
 	var lastErr error
+	tx := c.sys.db.Begin(store.Locking2PL)
 	for attempt := 0; attempt <= c.Retries; attempt++ {
+		if attempt > 0 {
+			tx = tx.Restart()
+		}
 		t := &ActorTxn{
 			sys:          c.sys,
-			tx:           c.sys.db.Begin(store.Locking2PL),
+			tx:           tx,
 			trace:        tr,
 			coord:        coord,
 			participants: make(map[fabric.NodeID]struct{}),

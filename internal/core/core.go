@@ -353,7 +353,7 @@ type Runtime struct {
 	seqWake  chan struct{}
 	batchCh  []chan *pendingSubmit // per-partition group-append queues
 	wg       sync.WaitGroup
-	inflight sync.WaitGroup
+	inflight atomic.Int64 // unfinished transaction goroutines (see Quiesce)
 
 	offMu   sync.Mutex
 	offsets []int64 // next input-log offset, per partition
@@ -919,7 +919,7 @@ func (r *Runtime) scheduleSingle(part int, tid, seq int64, req request, stop cha
 
 	r.inflight.Add(1)
 	go func() {
-		defer r.inflight.Done()
+		defer r.inflight.Add(-1)
 		defer close(myDone)
 		for _, w := range waits {
 			select {
@@ -991,7 +991,7 @@ func (r *Runtime) scheduleCross(part int, parts []int, req request, stop chan st
 
 	r.inflight.Add(1)
 	go func() {
-		defer r.inflight.Done()
+		defer r.inflight.Add(-1)
 		defer close(ct.done)
 		defer func() {
 			r.crossMu.Lock()
@@ -1395,6 +1395,9 @@ func (r *Runtime) caughtUp() (bool, error) {
 }
 
 // Quiesce blocks until every transaction in the logs so far has executed.
+// It polls the in-flight count rather than waiting on a sync.WaitGroup:
+// executors keep launching transactions meanwhile, and a WaitGroup forbids
+// an Add from zero concurrent with a Wait.
 func (r *Runtime) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -1402,17 +1405,13 @@ func (r *Runtime) Quiesce(timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		if ok {
-			done := make(chan struct{})
-			go func() { r.inflight.Wait(); close(done) }()
-			select {
-			case <-done:
-				return nil
-			case <-time.After(time.Until(deadline)):
-				return fmt.Errorf("core: quiesce timeout draining in-flight")
-			}
+		if ok && r.inflight.Load() == 0 {
+			return nil
 		}
 		if time.Now().After(deadline) {
+			if ok {
+				return fmt.Errorf("core: quiesce timeout draining in-flight")
+			}
 			return fmt.Errorf("core: quiesce timeout (logs not drained)")
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -1505,7 +1504,10 @@ func (r *Runtime) Crash() {
 	close(r.stop)
 	r.runMu.Unlock()
 	r.wg.Wait()
-	r.inflight.Wait()
+	// The executors have stopped, so no transaction goroutine starts now.
+	for r.inflight.Load() != 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
 	r.stateMu.Lock()
 	r.state = make(map[string][]byte)
 	r.stateMu.Unlock()

@@ -16,19 +16,24 @@
 // are deduplicated by the broker — exactly-once function messaging without
 // any application code.
 //
+// Every message travels as an envelope in a binary wire format (wire.go):
+// the four length-prefixed address strings, then the payload bytes, with
+// no text encoding and no base64 step. The codec is exported, so functions
+// can encode their own payloads the same way.
+//
 // The missing transactional isolation across functions is not a bug: it is
 // the exact gap experiment E7 demonstrates, and the one internal/core
 // closes.
 package statefun
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"tca/internal/dataflow"
+	"tca/internal/metrics"
 	"tca/internal/mq"
 )
 
@@ -52,17 +57,20 @@ const MaxSends = 32
 
 // Ref addresses a function instance.
 type Ref struct {
-	Type string `json:"t"`
-	ID   string `json:"i"`
+	Type string
+	ID   string
 }
 
 func (r Ref) String() string { return r.Type + "/" + r.ID }
 
-// envelope is the wire format on the internal topic.
+// envelope is one message on the ingress and internal topics. Its wire
+// form (wire.go) is the four address strings To.Type, To.ID, From.Type and
+// From.ID, each length-prefixed, followed by the payload bytes up to the
+// end of the record; From is empty for ingress messages.
 type envelope struct {
-	To      Ref    `json:"to"`
-	From    Ref    `json:"from,omitempty"`
-	Payload []byte `json:"p"`
+	To      Ref
+	From    Ref
+	Payload []byte
 }
 
 // Handler is the body of a stateful function.
@@ -107,15 +115,10 @@ func (c *Ctx) Send(to Ref, payload []byte) error {
 	if c.sends >= MaxSends {
 		return fmt.Errorf("%w: > %d", ErrTooManySends, MaxSends)
 	}
-	env := envelope{To: to, From: c.Self, Payload: payload}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("statefun: marshal envelope: %w", err)
-	}
-	producerID := fmt.Sprintf("%s-fn-p%d", c.app.cfg.Name, c.origin.Partition)
 	seq := c.origin.Offset*MaxSends + int64(c.sends)
 	c.sends++
-	_, err = c.app.broker.ProduceIdempotent(c.app.internalTopic(), to.String(), data, producerID, seq)
+	_, err := c.app.broker.ProduceIdempotent(c.app.internal, to.String(),
+		encodeEnvelope(to, c.Self, payload), c.app.producerIDs[c.origin.Partition], seq)
 	return err
 }
 
@@ -160,6 +163,13 @@ type App struct {
 	broker *mq.Broker
 	job    *dataflow.Job
 
+	// internal is the function-to-function topic; producerIDs[p] is the
+	// idempotent producer of sends made while consuming its partition p.
+	internal    string
+	producerIDs []string
+	// dropped counts records dispatch discards (statefun.dropped).
+	dropped *metrics.Counter
+
 	mu      sync.RWMutex
 	fns     map[string]Handler
 	running bool
@@ -173,16 +183,21 @@ func NewApp(broker *mq.Broker, cfg Config) *App {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 4
 	}
-	a := &App{cfg: cfg, broker: broker, fns: make(map[string]Handler)}
+	a := &App{cfg: cfg, broker: broker, fns: make(map[string]Handler), internal: cfg.Name + "-internal"}
 	broker.CreateTopic(cfg.Ingress, cfg.Parallelism)
-	broker.CreateTopic(a.internalTopic(), cfg.Parallelism)
+	broker.CreateTopic(a.internal, cfg.Parallelism)
+	// A topic that already existed keeps its partition count, so size the
+	// producer ids by the topic, not by the config.
+	parts, _ := broker.Partitions(a.internal)
+	a.producerIDs = make([]string, parts)
+	for p := range a.producerIDs {
+		a.producerIDs[p] = fmt.Sprintf("%s-fn-p%d", cfg.Name, p)
+	}
 	if cfg.Egress != "" {
 		broker.CreateTopic(cfg.Egress, cfg.Parallelism)
 	}
 	return a
 }
-
-func (a *App) internalTopic() string { return a.cfg.Name + "-internal" }
 
 // Register binds a function type to its handler.
 func (a *App) Register(fnType string, h Handler) {
@@ -192,6 +207,9 @@ func (a *App) Register(fnType string, h Handler) {
 }
 
 // Job exposes the underlying dataflow job (checkpoint control, metrics).
+// Besides the engine's own instruments its registry holds the runtime's
+// "statefun.dropped" counter: records dispatch discarded because they did
+// not decode or addressed an unregistered function type.
 func (a *App) Job() *dataflow.Job { return a.job }
 
 // Start builds and launches the dataflow job and the ingress relay.
@@ -203,7 +221,7 @@ func (a *App) Start() error {
 	}
 	if a.job == nil {
 		j := dataflow.NewJob(a.broker, dataflow.Config{Name: a.cfg.Name}).
-			Source(a.internalTopic()).
+			Source(a.internal).
 			Stage("functions", a.cfg.Parallelism, a.dispatch)
 		switch {
 		case a.cfg.Egress != "":
@@ -214,6 +232,7 @@ func (a *App) Start() error {
 			j.Sink(func(dataflow.Record) {})
 		}
 		a.job = j
+		a.dropped = j.Metrics().Counter("statefun.dropped")
 	}
 	if err := a.job.Start(); err != nil {
 		return err
@@ -225,16 +244,20 @@ func (a *App) Start() error {
 	return nil
 }
 
-// dispatch decodes an envelope and invokes the target function.
+// dispatch decodes an envelope and invokes the target function. A record
+// that does not decode, or that addresses an unregistered function type,
+// is dropped and counted in statefun.dropped (a DLQ is application policy).
 func (a *App) dispatch(op *dataflow.OpCtx, rec dataflow.Record) {
-	var env envelope
-	if err := json.Unmarshal(rec.Value, &env); err != nil {
-		return // poison message: drop (a DLQ is application policy)
+	env, err := decodeEnvelope(rec.Value)
+	if err != nil {
+		a.dropped.Inc()
+		return
 	}
 	a.mu.RLock()
 	h, ok := a.fns[env.To.Type]
 	a.mu.RUnlock()
 	if !ok {
+		a.dropped.Inc()
 		return
 	}
 	ctx := &Ctx{Self: env.To, Caller: env.From, app: a, op: op, origin: rec}
@@ -266,7 +289,7 @@ func (a *App) runRelay() {
 			return // fenced by a newer relay instance
 		}
 		for _, m := range msgs {
-			producer.Send(a.internalTopic(), m.Key, m.Value)
+			producer.Send(a.internal, m.Key, m.Value)
 		}
 		producer.SendOffsets(group, consumer.PendingOffsets())
 		if err := producer.Commit(); err != nil {
@@ -278,13 +301,8 @@ func (a *App) runRelay() {
 
 // SendToIngress enqueues an external message for a function.
 func (a *App) SendToIngress(to Ref, payload []byte) error {
-	env := envelope{To: to, Payload: payload}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
 	p := a.broker.NewProducer("")
-	_, _, err = p.Send(a.cfg.Ingress, to.String(), data)
+	_, _, err := p.Send(a.cfg.Ingress, to.String(), encodeEnvelope(to, Ref{}, payload))
 	return err
 }
 

@@ -76,7 +76,7 @@ func (lm *lockManager) acquire(t *Txn, tk tableKey, mode lockMode) error {
 		// Wound-wait: wound every conflicting holder younger than t.
 		for _, h := range conflicts {
 			if t.id < h.id {
-				h.wound()
+				h.wound(t)
 			}
 		}
 		waitCh := e.change

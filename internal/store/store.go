@@ -23,6 +23,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -305,6 +306,9 @@ func (db *DB) Update(fn func(tx *Txn) error) error {
 	const maxRetries = 10
 	var lastErr error
 	for i := 0; i < maxRetries; i++ {
+		if i > 0 {
+			time.Sleep(updateBackoff(i))
+		}
 		tx := db.Begin(Serializable)
 		if err := fn(tx); err != nil {
 			tx.Abort()
@@ -324,4 +328,15 @@ func (db *DB) Update(fn func(tx *Txn) error) error {
 		lastErr = err
 	}
 	return fmt.Errorf("store: retries exhausted: %w", lastErr)
+}
+
+// updateBackoff is the wait before Update's retry number attempt (1 for
+// the first retry): a uniform draw (full jitter) over a window that starts
+// at 20µs and doubles per attempt up to 2ms. Immediate retries let the
+// same writers collide again; the jitter spreads them out, and the cap
+// bounds a whole Update to a few tens of milliseconds of waiting.
+func updateBackoff(attempt int) time.Duration {
+	const base, ceiling = 20 * time.Microsecond, 2 * time.Millisecond
+	window := min(base<<min(attempt-1, 16), ceiling)
+	return time.Duration(rand.Int64N(int64(window)) + 1)
 }

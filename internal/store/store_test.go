@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newBank(t *testing.T, accounts int, balance int64) *DB {
@@ -333,6 +334,55 @@ func Test2PLWoundWaitNoDeadlock(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("both transactions failed; wound-wait should let one through")
+	}
+}
+
+// TestRestartKeepsAgeAndWaitsForWounder pins wound-wait's liveness
+// contract: a wounded transaction's restart keeps its id (its age), and
+// does not begin until the older transaction that wounded it finished, so
+// it cannot re-take its lock ahead of the wounder and be wounded again.
+func TestRestartKeepsAgeAndWaitsForWounder(t *testing.T) {
+	db := newBank(t, 1, 100)
+	old := db.Begin(Locking2PL)
+	young := db.Begin(Locking2PL)
+	if _, _, err := young.Get("accounts", "acc-0"); err != nil {
+		t.Fatal(err)
+	}
+	locked, commit := make(chan error, 1), make(chan struct{})
+	go func() {
+		// Wounds young, then waits for its shared lock.
+		err := old.Put("accounts", "acc-0", Row{"balance": int64(7)})
+		locked <- err
+		<-commit
+		if err == nil {
+			err = old.Commit()
+		}
+		locked <- err
+	}()
+	for !young.wounded() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	restarted := make(chan *Txn, 1)
+	go func() { restarted <- young.Restart() }()
+	if err := <-locked; err != nil {
+		t.Fatalf("older transaction: %v", err)
+	}
+	select {
+	case <-restarted:
+		t.Fatal("restart began before its wounder finished")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(commit)
+	if err := <-locked; err != nil {
+		t.Fatalf("older transaction commit: %v", err)
+	}
+	retry := <-restarted
+	defer retry.Abort()
+	if retry.ID() != young.ID() {
+		t.Errorf("restart id = %d, want the victim's %d", retry.ID(), young.ID())
+	}
+	if r, _, err := retry.Get("accounts", "acc-0"); err != nil || r.Int("balance") != 7 {
+		t.Errorf("restart reads %v, %v; want the wounder's committed balance 7", r, err)
 	}
 }
 

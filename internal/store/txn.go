@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 )
 
 type txnState int
@@ -37,22 +38,50 @@ type Txn struct {
 	writes map[tableKey]writeOp
 	order  []tableKey // write order for deterministic install
 
-	wounded   atomic.Bool
+	// wounder is the older transaction that wounded this one (set once,
+	// before woundedCh closes); finished closes when this transaction
+	// commits or aborts, releasing the victims it wounded (see Restart).
+	wounder   atomic.Pointer[Txn]
 	woundedCh chan struct{}
+	finished  chan struct{}
 	held      []*lockEntry
 }
 
 // Begin starts a transaction at the given isolation level.
-func (db *DB) Begin(iso Isolation) *Txn {
+func (db *DB) Begin(iso Isolation) *Txn { return db.begin(iso, db.txnSeq.Add(1)) }
+
+func (db *DB) begin(iso Isolation, id uint64) *Txn {
 	return &Txn{
 		db:        db,
 		iso:       iso,
-		id:        db.txnSeq.Add(1),
+		id:        id,
 		snapTS:    db.clock.Load(),
 		reads:     make(map[tableKey]uint64),
 		writes:    make(map[tableKey]writeOp),
 		woundedCh: make(chan struct{}),
+		finished:  make(chan struct{}),
 	}
+}
+
+// Restart aborts t, if it is still running, and begins its retry: a fresh
+// transaction at the same isolation level that keeps t's id, and so its
+// age. Wound-wait is live only if a victim keeps its age (Rosenkrantz,
+// Stearns & Lewis 1978): a victim retried younger can be wounded again
+// without end. Keeping the age is not enough on its own: the retry would
+// re-take its locks before the older transaction waiting on them wakes
+// up, and be wounded again. So when t was wounded, Restart first waits
+// until the wounder commits or aborts, at most LockWaitTimeout.
+func (t *Txn) Restart() *Txn {
+	t.Abort()
+	if w := t.wounder.Load(); w != nil {
+		timer := time.NewTimer(t.db.cfg.LockWaitTimeout)
+		select {
+		case <-w.finished:
+		case <-timer.C:
+		}
+		timer.Stop()
+	}
+	return t.db.begin(t.iso, t.id)
 }
 
 // ID returns the transaction's unique id (its age for wound-wait purposes).
@@ -61,19 +90,23 @@ func (t *Txn) ID() uint64 { return t.id }
 // Isolation returns the transaction's isolation level.
 func (t *Txn) Isolation() Isolation { return t.iso }
 
-// wound marks the transaction as a deadlock-avoidance victim. Idempotent.
-func (t *Txn) wound() {
-	if t.wounded.CompareAndSwap(false, true) {
+// wound marks the transaction as a deadlock-avoidance victim of the older
+// transaction by. Idempotent: the first wounder is the one recorded.
+func (t *Txn) wound(by *Txn) {
+	if t.wounder.CompareAndSwap(nil, by) {
 		close(t.woundedCh)
 		t.db.Wounds.Add(1)
 	}
 }
 
+// wounded reports whether t was wounded.
+func (t *Txn) wounded() bool { return t.wounder.Load() != nil }
+
 func (t *Txn) checkUsable() error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
-	if t.wounded.Load() {
+	if t.wounded() {
 		return ErrWounded
 	}
 	return nil
@@ -281,7 +314,7 @@ func (t *Txn) Prepare() error {
 func (t *Txn) Commit() error {
 	switch t.state {
 	case txnActive:
-		if t.wounded.Load() {
+		if t.wounded() {
 			t.Abort()
 			return ErrWounded
 		}
@@ -320,22 +353,30 @@ func (t *Txn) Commit() error {
 			}
 		}
 	}
-	// Install.
-	ts := db.clock.Add(1)
+	// Install, then publish. Only committers advance the clock, under
+	// commitMu, and the new timestamp becomes visible only once every
+	// version carrying it is installed. Publishing first would let a
+	// transaction begin at snapTS == ts and still read the old version:
+	// a torn read, and a lost update when its own write then passes the
+	// first-committer-wins check above.
+	ts := db.clock.Load() + 1
 	for _, tk := range t.order {
 		w := t.writes[tk]
 		tbl, err := db.table(tk.table)
 		if err != nil {
+			db.clock.Store(ts) // never reuse ts: some versions carry it
 			db.commitMu.Unlock()
 			t.Abort()
 			return err
 		}
 		tbl.install(tk.key, version{ts: ts, row: w.row, deleted: w.del})
 	}
+	db.clock.Store(ts)
 	db.commitMu.Unlock()
 
 	t.state = txnCommitted
 	db.locks.releaseAll(t)
+	close(t.finished)
 	db.Commits.Add(1)
 	return nil
 }
@@ -366,5 +407,6 @@ func (t *Txn) Abort() {
 	}
 	t.state = txnAborted
 	t.db.locks.releaseAll(t)
+	close(t.finished)
 	t.db.Aborts.Add(1)
 }

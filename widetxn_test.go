@@ -76,6 +76,9 @@ func TestWideTxnCrossCellConformance(t *testing.T) {
 				if n, last := sf.handlerErrors(); n != 0 {
 					t.Errorf("statefun cell dropped %d ops, last error: %v", n, last)
 				}
+				if n := sf.droppedRecords(); n != 0 {
+					t.Errorf("statefun runtime dropped %d records", n)
+				}
 			}
 		})
 	}
@@ -119,6 +122,9 @@ func TestStatefunTooManySendsUnreachable(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("statefun cell dropped %d ops, last error: %v", n, last)
+	}
+	if n := sf.droppedRecords(); n != 0 {
+		t.Fatalf("statefun runtime dropped %d records", n)
 	}
 }
 
