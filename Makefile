@@ -1,7 +1,7 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
 # build, the full test suite under the race detector, and a one-iteration
 # benchmark smoke pass so bench-only code paths can't rot unbuilt.
-.PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline
+.PHONY: verify stress fmt test loc bench bench-smoke bench-json bench-gate bench-baseline
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -36,21 +36,29 @@ fmt:
 test:
 	go test ./...
 
+# loc prints the Go line counts over the tracked files (git ls-files),
+# non-test and test separately: the net line count each CHANGES.md entry
+# reports is the difference of these two numbers between commits.
+loc:
+	@echo "non-test go lines: $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test go lines:     $$(git ls-files '*_test.go' | xargs cat | wc -l)"
+
 bench:
 	go test -bench . -benchtime 1000x
 
 # bench-smoke runs every benchmark exactly once (no tests): a fast
-# compile-and-execute check for the bench-only code paths. The E21 pass
-# through tcabench exercises one live-audited concurrency cell via the
-# binary's own flag surface, so the incremental-auditor path can't rot;
-# the E22 pass drives real-WAL core cells on throwaway temp-dir logs
-# (removed when the run ends), so the durable-log path gets a real
-# append+fsync+replay smoke on every verify; the E23 pass measures a
-# capacity and sweeps offered load past it through the admission-control
-# path (bounded queues, typed sheds, open-loop reservoirs) on every cell;
-# the E24 pass deploys a 2-region async replica group and drives the
-# geo-replication path end to end (shipping, convergence, staleness
-# probe) plus the sequenced sweep through the same driver.
+# compile-and-execute check for the bench-only code paths. The registered
+# experiments (experiments.go) run the same row functions under both
+# views, so the four tcabench passes check the binary's own flag surface
+# over the slowest paths at -ops scale: E21 runs the live-audited and the
+# unaudited concurrency cells, so the incremental-auditor path can't rot;
+# E22 drives real-WAL core cells on throwaway temp-dir logs (removed when
+# each row ends), a real append+fsync+replay smoke on every verify; E23
+# measures each cell's capacity and sweeps offered load past it through
+# the admission-control path (bounded queues, typed sheds, open-loop
+# reservoirs) on every cell; E24 deploys async and sequenced replica
+# groups and drives the geo-replication path end to end (shipping,
+# convergence, staleness probe).
 bench-smoke:
 	go test -bench . -benchtime 1x -run '^$$'
 	go run ./cmd/tcabench -experiment e21 -ops 24 > /dev/null
@@ -58,9 +66,10 @@ bench-smoke:
 	go run ./cmd/tcabench -experiment e23 -ops 16 > /dev/null
 	go run ./cmd/tcabench -experiment e24 -ops 48 > /dev/null
 
-# bench-json writes a machine-readable summary of the headline
-# experiments to BENCH_latest.json so the perf trajectory can be tracked
-# across PRs (compare the same row/metric between commits).
+# bench-json writes the grid summary of every registered experiment's
+# sweep (one repeat per row, each experiment's own seed) to
+# BENCH_latest.json so the perf trajectory can be tracked across PRs
+# (compare the same row/metric between commits).
 BENCH_OPS ?= 300
 bench-json:
 	go run ./cmd/tcabench -json -ops $(BENCH_OPS) > BENCH_latest.json

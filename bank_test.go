@@ -7,8 +7,6 @@ import (
 	"tca/internal/fabric"
 )
 
-var allModels = []ProgrammingModel{Microservices, Actors, CloudFunctions, StatefulDataflow, Deterministic}
-
 func newBankT(t *testing.T, model ProgrammingModel) Bank {
 	t.Helper()
 	env := NewEnv(1, 3)

@@ -2,30 +2,30 @@
 // (a tutorial) has no tables; Figure 1 and each comparative claim in the
 // text define the experiments — see DESIGN.md §3 for the index.
 //
-// Custom metrics reported alongside ns/op:
+// Custom metrics the E1–E14 bodies report alongside ns/op:
 //
 //	sim-us/op    simulated end-to-end latency (fabric hops, cold starts)
-//	hops/op      simulated network messages
 //	anomalies    consistency violations observed during the bench
+//
+// The registered experiments (F1, E6, E10, E16–E24; experiments.go)
+// report their grid rows' summary keys instead: the throughput key
+// (tx_s, ops_s, goodput_s), the p99 latency keys (accept_p99_us, ...)
+// and each row's extra metrics (sim_us_op, anomalies, ...).
 package tca
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tca/internal/actor"
-	"tca/internal/core"
 	"tca/internal/dataflow"
 	"tca/internal/dedup"
 	"tca/internal/faas"
 	"tca/internal/fabric"
-	"tca/internal/kv"
-	"tca/internal/metrics"
+	"tca/internal/grid"
 	"tca/internal/mq"
 	"tca/internal/outbox"
 	"tca/internal/rpc"
@@ -36,49 +36,46 @@ import (
 	"tca/internal/xa"
 )
 
+// --- Registered experiments ----------------------------------------------------
+
+// benchExperiment is the benchmark view of one registered experiment
+// (experiments.go): one sub-benchmark per sweep row, named by the row,
+// that runs the row once at b.N ops under the sweep's seed and reports
+// every metric of its Sample under the summary's key.
+func benchExperiment(b *testing.B, id string) {
+	for _, e := range Experiments(0) {
+		if e.ID != id {
+			continue
+		}
+		for _, spec := range e.Sweep {
+			for _, row := range spec.Rows() {
+				b.Run(row.Name(), func(b *testing.B) {
+					s, err := e.Run(row, spec.BaseSeed, b.N)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(s.Throughput, spec.ThroughputKey)
+					for key, samples := range map[string][]time.Duration{spec.AcceptKey: s.Accept, spec.ApplyKey: s.Apply} {
+						if key != "" && len(samples) > 0 {
+							b.ReportMetric(float64(grid.PooledQuantile([][]time.Duration{samples}, 0.99))/1e3, key)
+						}
+					}
+					for key, v := range s.Extra {
+						b.ReportMetric(v, key)
+					}
+				})
+			}
+		}
+		return
+	}
+	b.Fatalf("no registered experiment %q", id)
+}
+
 // --- F1: the taxonomy matrix ---------------------------------------------------
 
 // BenchmarkF1_TaxonomyMatrix runs the same bank-transfer workload under
-// every programming model of Figure 1 and reports real cost, simulated
-// latency and hop count per cell — driven through the application layer:
-// one BankApp, five Deploy targets.
-func BenchmarkF1_TaxonomyMatrix(b *testing.B) {
-	for _, model := range allModels {
-		b.Run(model.String(), func(b *testing.B) {
-			env := NewEnv(1, 3)
-			cell, err := Deploy(model, BankApp(), env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cell.Close()
-			const accounts = 64
-			for a := 0; a < accounts; a++ {
-				args, _ := json.Marshal(bankDepositArgs{Account: a, Amount: 1_000_000})
-				if _, err := cell.Invoke(fmt.Sprintf("seed-%d", a), "deposit", args, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := cell.Settle(); err != nil {
-				b.Fatal(err)
-			}
-			gen := workload.NewBank(7, accounts, 0)
-			var sim, hops int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op := gen.Next()
-				args, _ := json.Marshal(bankTransferArgs{From: op.From, To: op.To, Amount: op.Amount})
-				tr := fabric.NewTrace()
-				cell.Invoke(fmt.Sprintf("f1-%d", i), "transfer", args, tr)
-				sim += int64(tr.Total())
-				hops += int64(tr.Hops())
-			}
-			cell.Settle()
-			b.StopTimer()
-			b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-		})
-	}
-}
+// every programming model of Figure 1 (runF1).
+func BenchmarkF1_TaxonomyMatrix(b *testing.B) { benchExperiment(b, "f1") }
 
 // --- E1: actor transactions vs plain actor calls --------------------------------
 
@@ -339,18 +336,18 @@ func BenchmarkE4_SharedVsPerServiceDB(b *testing.B) {
 
 // --- E5: embedded vs external state ---------------------------------------------------
 
+// e5Sink keeps the embedded read from being optimized away.
+var e5Sink []byte
+
 func BenchmarkE5_EmbeddedVsExternal(b *testing.B) {
 	b.Run("embedded-kv", func(b *testing.B) {
-		s := kv.NewMemory()
-		defer s.Close()
-		s.Put("k", []byte("v"))
-		var sim int64
-		b.ResetTimer()
+		state := map[string][]byte{"k": []byte("v")}
 		for i := 0; i < b.N; i++ {
-			s.Get("k")
-			// Embedded state: no network hop at all.
+			e5Sink = state["k"]
 		}
-		b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
+		// Embedded state is an in-process read with no network hop, so its
+		// modeled cost is zero by construction, not a measurement.
+		b.ReportMetric(0, "sim-us/op")
 	})
 	b.Run("external-db-rpc", func(b *testing.B) {
 		cl := fabric.NewCluster(fabric.DefaultConfig(), "app", "db")
@@ -380,27 +377,9 @@ func BenchmarkE5_EmbeddedVsExternal(b *testing.B) {
 
 // --- E6: cold starts ---------------------------------------------------------------------
 
-func BenchmarkE6_ColdStart(b *testing.B) {
-	run := func(b *testing.B, evictEvery int) {
-		p := faas.NewPlatform(fabric.SingleNode(), faas.DefaultConfig())
-		p.Register("fn", func(ctx *faas.Ctx, payload []byte) ([]byte, error) { return nil, nil })
-		var sim int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if evictEvery > 0 && i%evictEvery == 0 {
-				p.EvictIdle("fn")
-			}
-			tr := fabric.NewTrace()
-			p.Invoke("fn", "k", nil, tr)
-			sim += int64(tr.Total())
-		}
-		b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-		b.ReportMetric(float64(p.Metrics().Counter("faas.cold_starts").Value()), "cold-starts")
-	}
-	b.Run("always-warm", func(b *testing.B) { run(b, 0) })
-	b.Run("evict-every-10", func(b *testing.B) { run(b, 10) })
-	b.Run("evict-every-2", func(b *testing.B) { run(b, 2) })
-}
+// BenchmarkE6_ColdStart prices FaaS cold starts under rising eviction
+// pressure (runE6).
+func BenchmarkE6_ColdStart(b *testing.B) { benchExperiment(b, "e6") }
 
 // --- E7: exactly-once is not isolation ------------------------------------------------------
 
@@ -553,26 +532,10 @@ func BenchmarkE9_IdempotencyOverhead(b *testing.B) {
 
 // --- E10: open vs closed loop -------------------------------------------------------------------
 
-func BenchmarkE10_OpenVsClosedLoop(b *testing.B) {
-	// Capacity: 1 slot × 100µs service = 10k ops/s.
-	service := workload.SpinService(1, 100*time.Microsecond)
-	b.Run("closed/clients=4", func(b *testing.B) {
-		res := workload.ClosedLoop(4, b.N/4+1, 0, service)
-		b.ReportMetric(float64(res.Latency.P99)/1e3, "p99-us")
-		b.ReportMetric(res.Throughput(), "ops/s")
-	})
-	for _, rate := range []float64{5000, 20000} { // 0.5x and 2x capacity
-		b.Run(fmt.Sprintf("open/rate=%.0f", rate), func(b *testing.B) {
-			n := b.N
-			if n > 2000 {
-				n = 2000
-			}
-			res := workload.OpenLoop(1, n, rate, service)
-			b.ReportMetric(float64(res.Latency.P99)/1e3, "p99-us")
-			b.ReportMetric(res.Throughput(), "ops/s")
-		})
-	}
-}
+// BenchmarkE10_OpenVsClosedLoop contrasts closed-loop clients, which
+// self-throttle, with open-loop arrivals at 0.5× and 2× the capacity of a
+// 10k ops/s service (runE10).
+func BenchmarkE10_OpenVsClosedLoop(b *testing.B) { benchExperiment(b, "e10") }
 
 // --- E11: entity critical sections ----------------------------------------------------------------
 
@@ -730,679 +693,47 @@ func BenchmarkE14_TPCC(b *testing.B) {
 	}
 }
 
-// --- E17: the TPC-C taxonomy matrix ------------------------------------------------------------
+// --- E16–E24: the matrices and frontiers --------------------------------------------------------
+
+// BenchmarkE16_CorePartitionScaling sweeps the deterministic core's
+// partition count against the cross-partition share on the real durable
+// log (runE16).
+func BenchmarkE16_CorePartitionScaling(b *testing.B) { benchExperiment(b, "e16") }
 
 // BenchmarkE17_TPCCMatrix runs the identical seeded TPC-C stream under
-// every programming model via the application layer and audits each cell
-// against the serial reference: per-model throughput, simulated latency,
-// and integrity-constraint anomalies (stock never negative, warehouse YTD
-// = sum of payments, district counters = NewOrder count). Isolated cells
-// report zero anomalies; the dataflow cell's pipelined execution may
-// legitimately drift on the read-modify-write stock keys — exactly-once
-// is not isolation.
-//
-// The cross-warehouse rate (TPCCOp.Remote) is swept over {0%, 10%, 50%}
-// at 4 warehouses: remote transactions are the app-level counterpart of
-// E16's cross-partition ratio, and the sweep ties the two curves together
-// — the same seeded transactions, only the Remote bit changes. The query
-// rate (TPCCConfig.QueryFrac ∈ {0%, 20%}) is the matrix's read-path
-// column, like E18's: OrderStatus/StockLevel ride every cell's ReadOnly
-// fast path, so cells with a cheap query path gain more from the same
-// query share.
-func BenchmarkE17_TPCCMatrix(b *testing.B) {
-	for _, warehouses := range []int{1, 4} { // contention knob: hot vs spread districts
-		for _, remotePct := range []int{0, 10, 50} {
-			if warehouses == 1 && remotePct > 0 {
-				continue // a single warehouse has no cross-warehouse transactions
-			}
-			for _, queryPct := range []int{0, 20} {
-				cfg := workload.DefaultTPCCConfig(warehouses)
-				cfg.RemoteFrac = workload.RemoteFrac(float64(remotePct) / 100)
-				cfg.QueryFrac = float64(queryPct) / 100
-				for _, model := range allModels {
-					b.Run(fmt.Sprintf("%s/wh=%d/remote=%d%%/query=%d%%", model, warehouses, remotePct, queryPct), func(b *testing.B) {
-						env := NewEnv(1, 3)
-						cell, err := Deploy(model, TPCCApp(), env)
-						if err != nil {
-							b.Fatal(err)
-						}
-						defer cell.Close()
-						gen := workload.NewTPCC(11, cfg)
-						audit := NewTPCCAuditor()
-						var sim, queries int64
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							op := gen.Next()
-							args, _ := json.Marshal(op)
-							tr := fabric.NewTrace()
-							_, err := cell.Invoke(fmt.Sprintf("e17-%d", i), tpccOpName(op), args, tr)
-							// The eventual cell's ops are recorded
-							// unconditionally: even now that Invoke surfaces
-							// drops and timeouts, the accepted op is exactly-
-							// once in the ingress and applies regardless — the
-							// same rule E18/E19 and tcabench use, keeping every
-							// driver on one audit baseline for identical
-							// streams.
-							if model == StatefulDataflow || err == nil {
-								audit.RecordOp(op)
-							}
-							if op.Kind == workload.TPCCOrderStatus || op.Kind == workload.TPCCStockLevel {
-								queries++
-							}
-							sim += int64(tr.Total())
-							// Bound the eventual cell's in-flight choreography so the
-							// final settle stays within its timeout.
-							if model == StatefulDataflow && i%256 == 255 {
-								if err := cell.Settle(); err != nil {
-									b.Fatal(err)
-								}
-							}
-						}
-						if err := cell.Settle(); err != nil {
-							b.Fatal(err)
-						}
-						b.StopTimer()
-						anomalies, err := audit.Verify(cell)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-						b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-						b.ReportMetric(float64(len(anomalies)), "anomalies")
-						b.ReportMetric(100*float64(queries)/float64(b.N), "query-%")
-					})
-				}
-			}
-		}
-	}
-}
+// every programming model, swept over warehouses, the cross-warehouse
+// rate and the query rate, audited against the serial reference
+// (runE17).
+func BenchmarkE17_TPCCMatrix(b *testing.B) { benchExperiment(b, "e17") }
 
-// --- E18: the marketplace taxonomy matrix --------------------------------------------------------
+// BenchmarkE18_MarketplaceMatrix runs the marketplace mix under every
+// programming model at two popularity skews, audited for the
+// checkout/price write skew, plus the read-only path A/B (runE18).
+func BenchmarkE18_MarketplaceMatrix(b *testing.B) { benchExperiment(b, "e18") }
 
-// BenchmarkE18_MarketplaceMatrix supersedes E15's hand-rolled per-model
-// marketplace adapters: the Online Marketplace mix (carts, checkouts,
-// queries, price updates) is now one MarketApp deployed under all five
-// programming models from the identical seeded stream, audited against
-// the serial reference. Product popularity (ZipfS) is the contention
-// knob: at high skew, checkouts and price updates pile onto the same hot
-// products, and cells without isolation charge stale prices — the
-// checkout/price write skew MarketAuditor reports as order-ledger drift.
-// Isolated cells report zero at any skew.
-//
-// The readpath sub-benchmarks are the read-only A/B: a pure query-product
-// stream with the ReadOnly hint honored vs stripped, on the two cells
-// whose query path shortcut is largest (actors skip 2PL exclusive locks +
-// 2PC; the deterministic core skips the log append and the write
-// schedule entirely).
-func BenchmarkE18_MarketplaceMatrix(b *testing.B) {
-	for _, zipf := range []float64{1.1, 4.0} { // contention knob: mild vs hot-product skew
-		cfg := workload.DefaultMarketConfig()
-		cfg.ZipfS = zipf
-		for _, model := range allModels {
-			b.Run(fmt.Sprintf("%s/zipf=%.1f", model, zipf), func(b *testing.B) {
-				env := NewEnv(1, 3)
-				cell, err := Deploy(model, MarketApp(), env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cell.Close()
-				gen := workload.NewMarket(5, cfg)
-				audit := NewMarketAuditor()
-				var sim, queries int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op := gen.Next()
-					args, _ := json.Marshal(op)
-					tr := fabric.NewTrace()
-					_, err := cell.Invoke(fmt.Sprintf("e18-%d", i), marketOpName(op), args, tr)
-					// The eventual cell's ops are recorded unconditionally
-					// (accepted ops apply even when Invoke reports a drop or
-					// timeout); its pipelined in-flight ops reading stale
-					// carts/prices is exactly the drift the audit then
-					// reports.
-					if model == StatefulDataflow || err == nil {
-						audit.RecordOp(op)
-					}
-					if op.Kind == workload.MarketQueryProduct {
-						queries++
-					}
-					sim += int64(tr.Total())
-					// Bound the eventual cell's in-flight choreography so the
-					// final settle stays within its timeout.
-					if model == StatefulDataflow && i%256 == 255 {
-						if err := cell.Settle(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if err := cell.Settle(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				anomalies, err := audit.Verify(cell)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-				b.ReportMetric(float64(len(anomalies)), "anomalies")
-				b.ReportMetric(100*float64(queries)/float64(b.N), "query-%")
-			})
-		}
-	}
-	// Read-only path A/B: the same query under the same cell, with the
-	// hint honored vs stripped — the speedup is the write machinery saved.
-	queryName := workload.MarketQueryProduct.String()
-	for _, model := range []ProgrammingModel{Actors, Deterministic} {
-		for _, hint := range []bool{true, false} {
-			b.Run(fmt.Sprintf("readpath/%s/ro=%v", model, hint), func(b *testing.B) {
-				env := NewEnv(1, 3)
-				op, _ := MarketApp().Op(queryName)
-				op.ReadOnly = hint // strip or keep the access class
-				cell, err := Deploy(model, NewApp("market-query").Register(op), env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cell.Close()
-				query := workload.MarketOp{Kind: workload.MarketQueryProduct, Product: 1}
-				args, _ := json.Marshal(query)
-				var sim int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr := fabric.NewTrace()
-					if _, err := cell.Invoke(fmt.Sprintf("rp-%d", i), queryName, args, tr); err != nil {
-						b.Fatal(err)
-					}
-					sim += int64(tr.Total())
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-			})
-		}
-	}
-}
+// BenchmarkE19_SocialMatrix runs the compose-post fan-out under every
+// programming model across the statefun 32-send budget (runE19).
+func BenchmarkE19_SocialMatrix(b *testing.B) { benchExperiment(b, "e19") }
 
-// --- E19: the social-network taxonomy matrix -----------------------------------------------------
+// BenchmarkE20_ConcurrencyMatrix drives every cell through pipelined
+// Sessions at rising client counts on the TPC-C and social mixes,
+// audited live (concurrencyRun).
+func BenchmarkE20_ConcurrencyMatrix(b *testing.B) { benchExperiment(b, "e20") }
 
-// BenchmarkE19_SocialMatrix deploys the DeathStarBench-style compose-post
-// fan-out under all five programming models: the declared key set is the
-// author's follower-timeline list, so the fan-out knob directly widens
-// every cell's transaction — more saga steps, more 2PL locks and 2PC
-// participants, more entity locks, more choreography sends, and more
-// partitions touched on the 4-partition deterministic core (its gseq
-// path, driven by a real workload). The sweep now crosses the statefun
-// runtime's 32-send budget (fanout ∈ {8, 24, 64, 128}): wide posts chunk
-// the read-scatter and write-emit across continuation rounds instead of
-// hard-failing, so the old cliff shows up as a cost curve, not an error.
-// One op in five is the read-only read-timeline, and a 10% follow/
-// unfollow churn mutates fan-out key sets between posts. The whole state
-// model commutes (bounded-list merges, ±1 edge deltas), so every cell
-// must audit clean — exact delivery and read-your-writes: E19 shows the
-// taxonomy's cost curves, E18 its anomalies.
-func BenchmarkE19_SocialMatrix(b *testing.B) {
-	const churn = 0.10
-	for _, fanout := range []int{8, 24, 64, 128} { // max followers: across the old statefun 32-send cliff
-		// Enough users that even the celebrity tail can have `fanout`
-		// distinct followers.
-		users := 64
-		if users < 2*fanout {
-			users = 2 * fanout
-		}
-		// Wide posts are hundreds of choreography messages each: settle
-		// the eventual cell more often so its backlog stays bounded.
-		settleEvery := 256
-		if fanout >= 64 {
-			settleEvery = 64
-		}
-		for _, model := range allModels {
-			b.Run(fmt.Sprintf("%s/fanout=%d", model, fanout), func(b *testing.B) {
-				env := NewEnv(1, 3)
-				// Partitions shards the deterministic cell so wide posts
-				// exercise cross-partition scheduling; other models ignore it.
-				cell, err := DeployWith(model, SocialApp(), env, Options{Partitions: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cell.Close()
-				gen := workload.NewSocialChurn(9, users, fanout, churn)
-				audit := NewSocialAuditor()
-				var sim, fanoutSum, posts int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr := fabric.NewTrace()
-					if i%5 == 4 {
-						args, _ := json.Marshal(socialTimelineArgs{User: i % users})
-						cell.Invoke(fmt.Sprintf("e19q-%d", i), SocialReadTimeline, args, tr)
-					} else {
-						op := gen.Next()
-						args, _ := json.Marshal(op)
-						if _, err := cell.Invoke(fmt.Sprintf("e19-%d", i), SocialOpName(op), args, tr); err == nil || model == StatefulDataflow {
-							audit.RecordOp(op)
-						}
-						if op.Kind == workload.SocialPost {
-							fanoutSum += int64(len(op.Followers))
-							posts++
-						}
-					}
-					sim += int64(tr.Total())
-					if model == StatefulDataflow && i%settleEvery == settleEvery-1 {
-						if err := cell.Settle(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if err := cell.Settle(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				anomalies, err := audit.Verify(cell)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-				b.ReportMetric(float64(len(anomalies)), "anomalies")
-				if posts > 0 {
-					b.ReportMetric(float64(fanoutSum)/float64(posts), "fanout/post")
-				}
-			})
-		}
-	}
-}
+// BenchmarkE21_LiveAuditOverhead runs every audited mix on the two
+// log-based cells with the live auditor on and off (concurrencyRun).
+func BenchmarkE21_LiveAuditOverhead(b *testing.B) { benchExperiment(b, "e21") }
 
-// --- E16: core partition scaling ---------------------------------------------------------------------------
+// BenchmarkE22_DurabilityFrontier maps the real durable log's group-append
+// cap against the fsync policy (runE22).
+func BenchmarkE22_DurabilityFrontier(b *testing.B) { benchExperiment(b, "e22") }
 
-// BenchmarkE16_CorePartitionScaling sweeps the deterministic runtime's
-// partition count at varying cross-partition transaction ratios — the
-// scaling curve the Styx/Calvin line of work leads with. Transfers between
-// accounts homed on the same partition ride a single log with zero
-// coordination; cross-partition transfers pay one global-sequencer pass.
-// The runtime runs over the real durable log (LogDir, fsync per group
-// append): the per-record append+fsync cost is exactly what sharding
-// overlaps — one partition pays it serially, N partitions pay it N-wide —
-// and what concurrent submissions amortize within a partition.
-func BenchmarkE16_CorePartitionScaling(b *testing.B) {
-	const accounts = 256
-	acct := func(a int) string { return fmt.Sprintf("acc/%d", a) }
-	for _, parts := range []int{1, 2, 4, 8} {
-		for _, crossPct := range []int{0, 10, 50} {
-			if parts == 1 && crossPct > 0 {
-				continue // a single partition has no cross-partition transactions
-			}
-			b.Run(fmt.Sprintf("partitions=%d/cross=%d%%", parts, crossPct), func(b *testing.B) {
-				rt := core.NewRuntime(mq.NewBroker(), core.Config{
-					Name:       fmt.Sprintf("e16-%d-%d-%d", parts, crossPct, b.N),
-					Workers:    16,
-					Partitions: parts,
-					LogDir:     b.TempDir(),
-				})
-				type transferArgs struct {
-					From, To string
-					Amount   int64
-				}
-				rt.Register("transfer", func(tx *core.Tx, args []byte) ([]byte, error) {
-					var r transferArgs
-					if err := json.Unmarshal(args, &r); err != nil {
-						return nil, err
-					}
-					var fbal, tbal int64
-					if raw, _, _ := tx.Get(r.From); raw != nil {
-						json.Unmarshal(raw, &fbal)
-					}
-					if raw, _, _ := tx.Get(r.To); raw != nil {
-						json.Unmarshal(raw, &tbal)
-					}
-					fraw, _ := json.Marshal(fbal - r.Amount)
-					traw, _ := json.Marshal(tbal + r.Amount)
-					if err := tx.Put(r.From, fraw); err != nil {
-						return nil, err
-					}
-					return nil, tx.Put(r.To, traw)
-				})
-				if err := rt.Start(); err != nil {
-					b.Fatal(err)
-				}
-				defer rt.Stop()
-				// Pre-compute account pairs by home partition: same-partition
-				// pairs are the shard-local common case, cross-partition pairs
-				// exercise the sequencer.
-				byPart := make(map[int][]int)
-				for a := 0; a < accounts; a++ {
-					p := rt.PartitionOf(acct(a))
-					byPart[p] = append(byPart[p], a)
-				}
-				var same, cross [][2]int
-				for _, group := range byPart {
-					for i := 0; i+1 < len(group); i += 2 {
-						same = append(same, [2]int{group[i], group[i+1]})
-					}
-				}
-				groups := make([][]int, 0, len(byPart))
-				for _, g := range byPart {
-					groups = append(groups, g)
-				}
-				for i := 0; len(groups) > 1 && i < accounts/2; i++ {
-					ga, gb := groups[i%len(groups)], groups[(i+1)%len(groups)]
-					cross = append(cross, [2]int{ga[i%len(ga)], gb[i%len(gb)]})
-				}
-				if len(same) == 0 {
-					b.Fatal("no same-partition account pair")
-				}
-				var seq atomic.Int64
-				// Enough closed-loop clients to keep every partition's
-				// pipeline full; throughput is log-bound, not client-bound.
-				b.SetParallelism(64)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := seq.Add(1)
-						pair := same[int(i)%len(same)]
-						if int(i%100) < crossPct && len(cross) > 0 {
-							pair = cross[int(i)%len(cross)]
-						}
-						args, _ := json.Marshal(transferArgs{From: acct(pair[0]), To: acct(pair[1]), Amount: 1})
-						if _, err := rt.Submit(fmt.Sprintf("e16-%d", i), "transfer",
-							[]string{acct(pair[0]), acct(pair[1])}, args, nil); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				if n := int64(b.N); n > 0 {
-					crossCommits := rt.Metrics().Counter("core.cross_commits").Value()
-					b.ReportMetric(100*float64(crossCommits)/float64(n), "cross-%")
-				}
-			})
-		}
-	}
-}
+// BenchmarkE23_OverloadFrontier offers every cell open-loop arrivals at
+// 0.5×–4× its measured capacity with admission control on and off
+// (overloadRun).
+func BenchmarkE23_OverloadFrontier(b *testing.B) { benchExperiment(b, "e23") }
 
-// --- E20: the concurrency matrix -----------------------------------------------------------------
-
-// BenchmarkE20_ConcurrencyMatrix is the first experiment where the cells'
-// concurrency architectures are actually visible: all five cells, driven
-// through Sessions by workload.ClosedLoop at clients ∈ {1, 4, 16, 64}, on
-// the TPC-C and social mixes. Submission is pipelined (Cell.Submit; the
-// session caps in-flight depth), so the matrix separates the two events a
-// blocking Invoke conflates — accept-us/op is the time to acknowledgment
-// (a pool slot, a durable group append, an ingress produce) and
-// apply-us/op the time to application (saga completed, transaction
-// committed, choreography's result record landed). The per-cell shapes:
-// the synchronous cells scale until Options.Clients saturates their
-// blocking protocol (and the 2PL cell starts paying conflicts), the
-// deterministic core's group appends amortize the modeled 80µs durable
-// append across concurrent submissions — tx/s grows with client count on
-// a single log — and the dataflow cell accepts at a flat rate while its
-// apply latency absorbs the backlog. The auditors run live inside the
-// loop (Record at submission, O(delta) Observe per resolved handle) and
-// the final verdict is the precedence graph's: the commutative social mix
-// must stay exact on every cell, while TPC-C's stock read-modify-writes
-// expose the unisolated cells (sagas, dataflow) as soon as clients > 1 —
-// and only as genuine anomalies, since mismatches a legal reorder of
-// racing commits explains are suppressed into the reordered count. The
-// driver itself is tca.RunConcurrencyCell, shared with cmd/tcabench.
-func BenchmarkE20_ConcurrencyMatrix(b *testing.B) {
-	for _, mix := range ConcurrencyMixes {
-		for _, clients := range []int{1, 4, 16, 64} {
-			for _, model := range allModels {
-				b.Run(fmt.Sprintf("%s/%s/clients=%d", mix, model, clients), func(b *testing.B) {
-					b.ResetTimer()
-					res, err := RunConcurrencyCellOpts(mix, model, clients, b.N,
-						ConcurrencyOptions{Audit: true, LogDir: os.TempDir(), Seed: 7})
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.Throughput(), "tx/s")
-					b.ReportMetric(float64(res.AcceptP50)/1e3, "accept-us/op")
-					b.ReportMetric(float64(res.ApplyP50)/1e3, "apply-us/op")
-					b.ReportMetric(float64(res.AcceptP99)/1e3, "accept-p99-us")
-					b.ReportMetric(float64(res.ApplyP99)/1e3, "apply-p99-us")
-					b.ReportMetric(float64(res.Rejected), "rejected")
-					b.ReportMetric(float64(len(res.Anomalies)), "anomalies")
-					b.ReportMetric(float64(res.Violations), "violations")
-					b.ReportMetric(float64(res.Reordered), "reordered")
-					b.ReportMetric(float64(res.GraphCycles), "graph-cycles")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkE21_LiveAuditOverhead prices the online auditing layer: all
-// four workload mixes on the two log-based cells (the isolated
-// deterministic core and the unisolated dataflow cell), each cell run
-// with the incremental auditor live inside the concurrency loop and
-// again with auditing off. The audited run pays Record at submission, an
-// O(delta) reference replay plus delta constraint maintenance per
-// resolved handle, and a bounded live-value sample (at most
-// auditLiveKeyCap peeks per commit, only for keys a live constraint
-// watches — the social mix samples nothing and should price near zero).
-// Compare tx/s against the matching audit=off row for the overhead;
-// violations/reordered/graph-cycles report what the auditor caught.
-func BenchmarkE21_LiveAuditOverhead(b *testing.B) {
-	for _, mix := range AuditedMixes {
-		for _, clients := range []int{1, 4, 16, 64} {
-			for _, model := range []ProgrammingModel{Deterministic, StatefulDataflow} {
-				for _, audited := range []bool{true, false} {
-					b.Run(fmt.Sprintf("%s/%s/clients=%d/audit=%v", mix, model, clients, audited), func(b *testing.B) {
-						b.ResetTimer()
-						res, err := RunConcurrencyCellOpts(mix, model, clients, b.N, ConcurrencyOptions{Audit: audited})
-						b.StopTimer()
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.Throughput(), "tx/s")
-						b.ReportMetric(float64(res.ApplyP50)/1e3, "apply-us/op")
-						if audited {
-							b.ReportMetric(float64(len(res.Anomalies)), "anomalies")
-							b.ReportMetric(float64(res.Violations), "violations")
-							b.ReportMetric(float64(res.Reordered), "reordered")
-							b.ReportMetric(float64(res.GraphCycles), "graph-cycles")
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// --- E22: the durability frontier ----------------------------------------------------------------
-
-// e22Policies are the fsync policies the durability frontier sweeps.
-var e22Policies = []struct {
-	name   string
-	policy core.FsyncPolicy
-}{
-	{"fsync=batch", core.FsyncEveryBatch},
-	{"fsync=1ms", core.FsyncInterval},
-	{"fsync=none", core.FsyncNone},
-}
-
-// BenchmarkE22_DurabilityFrontier maps the real durable log's cost
-// surface under the deterministic runtime: group-append batch size
-// (Config.MaxGroupAppend) against fsync policy. Concurrent submitters
-// share group appends, so larger batches divide the fsync across more
-// transactions — the group-commit amortization, now measured on a real
-// log instead of modeled by SequenceDelay. fsync=none is the page-cache
-// ceiling the other rows are judged against: the acceptance bar is
-// fsync-every-batch within 3x of it at batch >= 64. accept-p99-us is the
-// 99th-percentile SubmitAsync latency — what "acknowledged means on
-// disk" costs the tail.
-func BenchmarkE22_DurabilityFrontier(b *testing.B) {
-	const accounts = 64
-	for _, batch := range []int{1, 8, 64, 256} {
-		for _, pol := range e22Policies {
-			b.Run(fmt.Sprintf("batch=%d/%s", batch, pol.name), func(b *testing.B) {
-				rt := core.NewRuntime(mq.NewBroker(), core.Config{
-					Name:           fmt.Sprintf("e22-%d-%s-%d", batch, pol.name, b.N),
-					Workers:        16,
-					LogDir:         b.TempDir(),
-					Fsync:          pol.policy,
-					MaxGroupAppend: batch,
-				})
-				rt.Register("deposit", func(tx *core.Tx, args []byte) ([]byte, error) {
-					key := string(args)
-					var bal int64
-					if raw, _, _ := tx.Get(key); raw != nil {
-						json.Unmarshal(raw, &bal)
-					}
-					raw, _ := json.Marshal(bal + 1)
-					return nil, tx.Put(key, raw)
-				})
-				if err := rt.Start(); err != nil {
-					b.Fatal(err)
-				}
-				defer rt.Stop()
-				accept := metrics.NewHistogram()
-				var seq atomic.Int64
-				// Enough concurrent submitters that the largest group cap can
-				// actually fill: group size is bounded by what queues while
-				// the previous append's fsync is in flight.
-				b.SetParallelism(64)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := seq.Add(1)
-						key := fmt.Sprintf("acc/%d", i%accounts)
-						t0 := time.Now()
-						if _, err := rt.SubmitAsync(fmt.Sprintf("e22-%d", i), "deposit",
-							[]string{key}, []byte(key), nil); err != nil {
-							b.Error(err)
-							return
-						}
-						accept.RecordDuration(time.Since(t0))
-					}
-				})
-				if err := rt.Quiesce(time.Minute); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				b.ReportMetric(float64(accept.Snapshot().P99)/1e3, "accept-p99-us")
-				appends := rt.Metrics().Counter("core.wal_group_appends").Value()
-				if appends > 0 {
-					b.ReportMetric(float64(b.N)/float64(appends), "records/append")
-				}
-			})
-		}
-	}
-}
-
-// --- E23: the overload frontier ------------------------------------------------------------------
-
-// e23Capacity caches each (mix, model) cell's measured closed-loop peak
-// so the sweep's rows all offer multiples of the same calibration —
-// re-measuring per row would let calibration noise move the x-axis
-// between shed=on and shed=off.
-var e23Capacity = struct {
-	sync.Mutex
-	m map[string]float64
-}{m: map[string]float64{}}
-
-func e23CapacityFor(b *testing.B, mix string, model ProgrammingModel) float64 {
-	e23Capacity.Lock()
-	defer e23Capacity.Unlock()
-	key := fmt.Sprintf("%s/%s", mix, model)
-	if c, ok := e23Capacity.m[key]; ok {
-		return c
-	}
-	c, err := MeasureCellCapacity(mix, model, 400)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if c <= 0 {
-		b.Fatalf("measured non-positive capacity for %s", key)
-	}
-	e23Capacity.m[key] = c
-	return c
-}
-
-// BenchmarkE23_OverloadFrontier maps the open-loop saturation frontier:
-// every cell, offered Poisson arrivals at 0.5×–4× its measured
-// closed-loop capacity, with admission control on (the default bounded
-// queues, excess shed as ErrOverloaded) and off (the legacy unbounded
-// queues). The open loop keeps offering regardless of how the cell keeps
-// up, so the two configurations diverge exactly at saturation: with
-// shedding, goodput holds near the frontier and the accept tail stays
-// bounded (rejection is ~constant-time); without it, arrivals queue
-// without limit, the accept tail grows with the backlog, and goodput
-// collapses as the run's elapsed time stretches to drain work nobody is
-// waiting for. shed-% is the admission verdict rate — near zero below
-// capacity, climbing toward (1 − 1/mult) past it. The driver is
-// tca.RunOverloadCell, shared with cmd/tcabench (e23).
-func BenchmarkE23_OverloadFrontier(b *testing.B) {
-	for _, mix := range ConcurrencyMixes {
-		for _, model := range allModels {
-			for _, shedOn := range []bool{true, false} {
-				for _, mult := range []float64{0.5, 1, 2, 4} {
-					b.Run(fmt.Sprintf("%s/%s/shed=%v/offered=%gx", mix, model, shedOn, mult), func(b *testing.B) {
-						capacity := e23CapacityFor(b, mix, model)
-						b.ResetTimer()
-						res, err := RunOverloadCell(mix, model, capacity*mult, b.N,
-							OverloadOptions{Shed: shedOn, LogDir: b.TempDir(), Seed: 7})
-						b.StopTimer()
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.Goodput(), "goodput/s")
-						b.ReportMetric(100*res.ShedFraction(), "shed-%")
-						b.ReportMetric(float64(res.AcceptP999)/1e3, "accept-p999-us")
-						b.ReportMetric(float64(res.ApplyP999)/1e3, "apply-p999-us")
-					})
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkE24_GeoFrontier maps the geo frontier: the marketplace as a
-// replica group, regions {1,2,3} × WAN {20ms, 80ms} × read mode, async
-// (eventual cells shipping versioned deltas in the background) vs
-// sequenced (the deterministic core behind the WAN-round-tripping global
-// sequencer). The reported latencies are modeled (fabric trace) time:
-// async local reads hold near the single-region path while the
-// staleness probe prices their possible lag; home reads pay the WAN
-// round trip, and every sequenced cross-region commit pays at least the
-// sequencer's quorum round trip. The driver is tca.RunGeoCell, shared
-// with cmd/tcabench (e24).
-func BenchmarkE24_GeoFrontier(b *testing.B) {
-	for _, mode := range []ReplicationMode{AsyncReplication, SequencedReplication} {
-		for _, regions := range []int{1, 2, 3} {
-			for _, wan := range []time.Duration{20 * time.Millisecond, 80 * time.Millisecond} {
-				if regions == 1 && wan != 20*time.Millisecond {
-					continue
-				}
-				for _, read := range []ReadMode{ReadLocal, ReadHome} {
-					if regions == 1 && read != ReadLocal {
-						continue
-					}
-					b.Run(fmt.Sprintf("%v/r=%d/wan=%v/read=%v", mode, regions, wan, read), func(b *testing.B) {
-						res, err := RunGeoCell(GeoConfig{
-							Mode: mode, Regions: regions, WAN: wan, Read: read,
-							Ops: b.N, Seed: 7,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if n := len(res.Anomalies); n > 0 {
-							b.Fatalf("%d anomalies: %v", n, res.Anomalies[0])
-						}
-						if !res.Converged {
-							b.Fatalf("replicas diverged on %d keys: %v", len(res.Diverged), res.Diverged[0])
-						}
-						accepted := res.Issued - res.Rejected
-						b.ReportMetric(float64(accepted)/res.Elapsed.Seconds(), "tx/s")
-						b.ReportMetric(float64(res.ReadP99)/1e3, "read-p99-us")
-						b.ReportMetric(float64(res.WriteP99)/1e3, "write-p99-us")
-						b.ReportMetric(float64(res.Staleness.MaxLag)/1e6, "max-lag-ms")
-						b.ReportMetric(float64(res.Staleness.MaxLagTxns), "lag-txns")
-					})
-				}
-			}
-		}
-	}
-}
+// BenchmarkE24_GeoFrontier maps local-read staleness against
+// cross-region commit cost for async and sequenced replica groups
+// (runE24).
+func BenchmarkE24_GeoFrontier(b *testing.B) { benchExperiment(b, "e24") }

@@ -449,9 +449,6 @@ func MeasureCellCapacity(mix string, model ProgrammingModel, ops int) (float64, 
 
 // OverloadOptions tunes one open-loop overload run.
 type OverloadOptions struct {
-	// Arrival selects the arrival process: "poisson" (default, smooth) or
-	// "bursty" (a 2-state MMPP at the same mean rate with 4× bursts).
-	Arrival string
 	// Shed enables admission control: the cell runs with a tight bounded
 	// queue (Options.MaxPending = 64) and rejects excess load with
 	// ErrOverloaded. Off (false) disables the bounds (MaxPending = -1) —
@@ -568,15 +565,7 @@ func RunOverloadCell(mix string, model ProgrammingModel, rate float64, ops int, 
 		return OverloadResult{}, err
 	}
 
-	var arrivals workload.ArrivalProcess
-	switch o.Arrival {
-	case "", "poisson":
-		arrivals = workload.NewPoissonArrivals(seed, rate)
-	case "bursty":
-		arrivals = workload.NewMMPPArrivals(seed, rate, 4, 10*time.Millisecond)
-	default:
-		return OverloadResult{}, fmt.Errorf("tca: unknown arrival process %q", o.Arrival)
-	}
+	arrivals := workload.NewPoissonArrivals(seed, rate)
 	stream := mixStream(mix, seed+1)
 
 	accept := workload.NewLatencyReservoir(8192, seed)

@@ -1,8 +1,6 @@
 // Package wal implements a segmented, checksummed write-ahead log. It is the
-// durability substrate for the embedded key-value store (internal/kv), the
-// message broker (internal/mq), the saga and workflow logs, and the 2PC
-// coordinator log — every place where the paper's systems survey requires
-// "persist, then act" (§3.3, §4.1).
+// durability substrate for the deterministic core's log (internal/core):
+// the "persist, then act" the paper's systems survey requires (§3.3, §4.1).
 //
 // Record format (little endian):
 //

@@ -106,63 +106,6 @@ func (p *poissonArrivals) Gap() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() / p.rate * float64(time.Second))
 }
 
-// mmppArrivals is a two-state Markov-modulated Poisson process: a "calm"
-// state and a "burst" state, each Poisson at its own rate, with
-// exponentially distributed dwell times. The long-run mean rate equals the
-// configured rate (the states' rates are rate·2/(b+1) and rate·2b/(b+1)
-// with equal expected dwell), so an MMPP sweep offers the same average
-// load as a Poisson sweep — only clumpier: bursts at b× the calm rate,
-// which is what stresses a bounded queue harder than smooth arrivals.
-type mmppArrivals struct {
-	rng   *rand.Rand
-	rates [2]float64 // calm, burst
-	dwell time.Duration
-	state int
-	left  time.Duration // remaining dwell in the current state
-}
-
-// NewMMPPArrivals returns bursty (Markov-modulated Poisson) arrivals with
-// long-run mean rate ops/second. burst is the burst-to-calm rate ratio
-// (values <= 1 degenerate to Poisson), dwell the expected time in each
-// state (zero means 10ms).
-func NewMMPPArrivals(seed int64, rate, burst float64, dwell time.Duration) ArrivalProcess {
-	if burst < 1 {
-		burst = 1
-	}
-	if dwell <= 0 {
-		dwell = 10 * time.Millisecond
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m := &mmppArrivals{
-		rng:   rng,
-		rates: [2]float64{rate * 2 / (burst + 1), rate * 2 * burst / (burst + 1)},
-		dwell: dwell,
-	}
-	m.left = m.drawDwell()
-	return m
-}
-
-func (m *mmppArrivals) drawDwell() time.Duration {
-	return time.Duration(m.rng.ExpFloat64() * float64(m.dwell))
-}
-
-// Gap advances across state boundaries: when the next exponential draw
-// overshoots the remaining dwell, the process flips state at the boundary
-// and redraws from there — exact, because the exponential is memoryless.
-func (m *mmppArrivals) Gap() time.Duration {
-	var elapsed time.Duration
-	for {
-		gap := time.Duration(m.rng.ExpFloat64() / m.rates[m.state] * float64(time.Second))
-		if gap < m.left {
-			m.left -= gap
-			return elapsed + gap
-		}
-		elapsed += m.left
-		m.state = 1 - m.state
-		m.left = m.drawDwell()
-	}
-}
-
 // OpenLoop issues n operations with Poisson arrivals at the given rate
 // (ops/second), regardless of how the server keeps up. Latency is measured
 // from the *scheduled arrival time*, so queueing delay counts: when the
@@ -173,12 +116,7 @@ func OpenLoop(seed int64, n int, rate float64, op Op) DriverResult {
 	if rate <= 0 || n <= 0 {
 		return DriverResult{}
 	}
-	return OpenLoopArrivals(NewPoissonArrivals(seed, rate), n, op)
-}
-
-// OpenLoopArrivals is OpenLoop under any arrival process — the driver the
-// overload experiments use with bursty (MMPP) arrivals.
-func OpenLoopArrivals(arrivals ArrivalProcess, n int, op Op) DriverResult {
+	arrivals := NewPoissonArrivals(seed, rate)
 	hist := metrics.NewHistogram()
 	res := NewLatencyReservoir(0, 1)
 	var errs atomic.Int64

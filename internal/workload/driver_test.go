@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,46 +20,25 @@ func gaps(a ArrivalProcess, n int) []time.Duration {
 // open-loop sweep comparable between shed=on and shed=off), and a
 // different seed must produce a different one.
 func TestArrivalsSeedStable(t *testing.T) {
-	mk := map[string]func(seed int64) ArrivalProcess{
-		"poisson": func(seed int64) ArrivalProcess { return NewPoissonArrivals(seed, 5000) },
-		"mmpp":    func(seed int64) ArrivalProcess { return NewMMPPArrivals(seed, 5000, 4, 10*time.Millisecond) },
-	}
-	for name, newProc := range mk {
-		t.Run(name, func(t *testing.T) {
-			const n = 512
-			a, b := gaps(newProc(7), n), gaps(newProc(7), n)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("gap %d diverged under the same seed: %v vs %v", i, a[i], b[i])
-				}
+	t.Run("poisson", func(t *testing.T) {
+		const n = 512
+		a, b := gaps(NewPoissonArrivals(7, 5000), n), gaps(NewPoissonArrivals(7, 5000), n)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("gap %d diverged under the same seed: %v vs %v", i, a[i], b[i])
 			}
-			c := gaps(newProc(8), n)
-			same := 0
-			for i := range a {
-				if a[i] == c[i] {
-					same++
-				}
+		}
+		c := gaps(NewPoissonArrivals(8, 5000), n)
+		same := 0
+		for i := range a {
+			if a[i] == c[i] {
+				same++
 			}
-			if same == n {
-				t.Fatal("different seeds produced the identical schedule")
-			}
-		})
-	}
-}
-
-// TestMMPPMeanRate checks the modulation is rate-neutral: the two-state
-// process must offer the configured long-run mean, only clumpier.
-func TestMMPPMeanRate(t *testing.T) {
-	const rate = 10000.0
-	const n = 20000
-	var total time.Duration
-	for _, g := range gaps(NewMMPPArrivals(3, rate, 4, 10*time.Millisecond), n) {
-		total += g
-	}
-	got := float64(n) / total.Seconds()
-	if math.Abs(got-rate)/rate > 0.25 {
-		t.Fatalf("MMPP mean rate = %.0f/s, want within 25%% of %.0f/s", got, rate)
-	}
+		}
+		if same == n {
+			t.Fatal("different seeds produced the identical schedule")
+		}
+	})
 }
 
 // TestOpenLoopRejectsInvalidRate pins the validation: a non-positive rate

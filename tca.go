@@ -119,7 +119,7 @@
 // for accepted work stays bounded — goodput holds near peak at 2–4×
 // offered load. E23 (RunOverloadCell, BenchmarkE23_OverloadFrontier,
 // tcabench -experiment e23) measures exactly this frontier, with Poisson
-// and bursty arrivals from internal/workload.
+// arrivals from internal/workload.
 //
 // # Durability
 //
