@@ -1,7 +1,7 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
 # build, the full test suite under the race detector, and a one-iteration
 # benchmark smoke pass so bench-only code paths can't rot unbuilt.
-.PHONY: verify stress fmt test loc bench bench-smoke bench-json bench-gate bench-baseline
+.PHONY: verify stress fmt test loc bench bench-smoke bench-json bench-gate bench-baseline bench-pairs
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -102,3 +102,15 @@ bench-gate:
 bench-baseline:
 	go run ./cmd/tcabench -grid -ops $(GATE_OPS) -repeats $(GATE_REPEATS) -seed 1 > ci/bench_baseline.json
 	@echo "wrote ci/bench_baseline.json"
+
+# bench-pairs compares BASE (any git revision) with the working tree on one
+# BENCHMARK.json workload: PAIRS alternating untraced cellbench runs, seeds
+# SEED, SEED+1, ..., then each side's median and quartiles per end-to-end
+# metric and the pairs the working tree won (ci/bench_pairs.sh). About
+# 35 s a run, so the default ten pairs take ~12 minutes.
+BASE ?= HEAD
+WORKLOAD ?= core-tpcc
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	bash ci/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)

@@ -1,13 +1,14 @@
 package tca
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
 
 	"tca/internal/fabric"
+	"tca/internal/wire"
 )
 
 // This file is the application layer of the taxonomy: a model-agnostic way
@@ -26,7 +27,9 @@ import (
 // adapter provides an implementation backed by its own state management:
 // the deterministic core's MVCC view, actor transactional state under 2PL,
 // locked FaaS entities, per-service databases behind RPC, or dataflow
-// function state reached by messages.
+// function state reached by messages. Values are opaque bytes that every
+// cell stores and returns unchanged; Add and PushCap maintain the App
+// layer's two binary encodings, EncodeInt and EncodeIntList.
 type Txn interface {
 	// Get returns the value of key as visible to this operation. Cells
 	// without isolation (sagas, dataflow) may return stale or dirty values
@@ -51,41 +54,57 @@ type Txn interface {
 	PushCap(key string, id int64, cap int) error
 }
 
-// EncodeInt is the canonical numeric value encoding of the App layer
-// (JSON int64) — what Txn.Add maintains and application bodies should use
-// for counter-like keys.
+// EncodeInt is the canonical numeric value encoding of the App layer: a
+// zig-zag varint (internal/wire), one byte for small magnitudes — what
+// Txn.Add maintains and application bodies should use for counter-like
+// keys. Ops that return an EncodeInt value hand callers this binary form.
 func EncodeInt(v int64) []byte {
-	raw, _ := json.Marshal(v)
-	return raw
+	return binary.AppendVarint(make([]byte, 0, wire.VarintLen(v)), v)
 }
 
-// DecodeInt decodes an EncodeInt value; nil or garbage decodes to zero.
+// DecodeInt decodes an EncodeInt value; nil, truncated or otherwise
+// malformed input (trailing bytes included) decodes to zero.
 func DecodeInt(raw []byte) int64 {
-	var v int64
-	if raw != nil {
-		json.Unmarshal(raw, &v)
+	d := wire.NewDecoder(raw)
+	v := d.Varint()
+	if d.Finish() != nil {
+		return 0
 	}
 	return v
 }
 
-// EncodeIntList is the canonical list encoding of the App layer: a JSON
-// array of int64, sorted descending (newest-first for monotonically
-// assigned ids). Txn.PushCap maintains it; bodies should use it for
-// list-valued keys such as timelines and post logs.
+// EncodeIntList is the canonical list encoding of the App layer: a uvarint
+// count followed by that many zig-zag varints (internal/wire), sorted
+// descending (newest-first for monotonically assigned ids). Txn.PushCap
+// maintains it; bodies should use it for list-valued keys such as
+// timelines and post logs. Ops that return one hand callers this binary
+// form.
 func EncodeIntList(vs []int64) []byte {
-	if vs == nil {
-		vs = []int64{}
+	n := wire.UvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += wire.VarintLen(v)
 	}
-	raw, _ := json.Marshal(vs)
-	return raw
+	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
 }
 
-// DecodeIntList decodes an EncodeIntList value; nil or garbage decodes to
-// an empty list.
+// DecodeIntList decodes an EncodeIntList value; nil or malformed input
+// decodes to an empty list.
 func DecodeIntList(raw []byte) []int64 {
-	var vs []int64
-	if raw != nil {
-		json.Unmarshal(raw, &vs)
+	d := wire.NewDecoder(raw)
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]int64, n)
+	for i := range vs {
+		vs[i] = d.Varint()
+	}
+	if d.Finish() != nil {
+		return nil
 	}
 	return vs
 }

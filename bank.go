@@ -40,6 +40,8 @@ type Bank interface {
 	Close()
 }
 
+// State encoding: acct/N holds account N's balance as an EncodeInt value
+// (a binary zig-zag varint), the key Txn.Add maintains.
 func acctKey(n int) string { return fmt.Sprintf("acct/%d", n) }
 
 // bankDepositArgs / bankTransferArgs are the bank ops' wire arguments.

@@ -19,7 +19,7 @@ import (
 // like the social mix, this measures the cost of the multi-service
 // atomic step, not anomaly tolerance.
 //
-// State encoding (all values EncodeInt int64):
+// State encoding (all values EncodeInt: an int64 as a binary zig-zag varint):
 //
 //	flight/F  seats sold on flight F
 //	hotel/H   rooms sold at hotel H

@@ -33,13 +33,15 @@ type microCell struct {
 // kvGetReq/kvApplyReq are the shard services' wire types. Apply either
 // adds Delta to the EncodeInt value (commutative, safely retried under
 // idempotency keys) or, with Set, replaces/deletes the value outright; it
-// returns the previous value so sagas can compensate.
+// returns the previous value so sagas can compensate. Values are []byte
+// (base64 in the JSON body) because they are arbitrary bytes: a JSON
+// string would rewrite invalid UTF-8 to U+FFFD.
 type kvGetReq struct {
 	Key string `json:"key"`
 }
 
 type kvGetResp struct {
-	Val   string `json:"val"`
+	Val   []byte `json:"val"`
 	Found bool   `json:"found"`
 }
 
@@ -48,7 +50,7 @@ type kvApplyReq struct {
 	Delta int64  `json:"delta,omitempty"`
 	Set   bool   `json:"set,omitempty"`
 	Del   bool   `json:"del,omitempty"`
-	Val   string `json:"val,omitempty"`
+	Val   []byte `json:"val,omitempty"`
 	// Push merges ID into the bounded id list at Key, keeping the Cap
 	// largest (Txn.PushCap). Compensation restores the captured previous
 	// value through the Set path, like any replaced value.
@@ -58,7 +60,7 @@ type kvApplyReq struct {
 }
 
 type kvApplyResp struct {
-	Prev      string `json:"prev"`
+	Prev      []byte `json:"prev"`
 	PrevFound bool   `json:"prev_found"`
 }
 
@@ -80,7 +82,7 @@ func newMicroCell(app *App, env *Env, opts Options) *microCell {
 					return err
 				}
 				if ok {
-					resp = kvGetResp{Val: row.Str("v"), Found: true}
+					resp = kvGetResp{Val: []byte(row.Str("v")), Found: true}
 				}
 				return nil
 			})
@@ -94,18 +96,18 @@ func newMicroCell(app *App, env *Env, opts Options) *microCell {
 					return err
 				}
 				if ok {
-					resp = kvApplyResp{Prev: row.Str("v"), PrevFound: true}
+					resp = kvApplyResp{Prev: []byte(row.Str("v")), PrevFound: true}
 				}
 				switch {
 				case r.Push:
-					merged := mergeBounded(DecodeIntList([]byte(resp.Prev)), r.ID, r.Cap)
+					merged := mergeBounded(DecodeIntList(resp.Prev), r.ID, r.Cap)
 					return tx.Put("state", r.Key, store.Row{"v": string(EncodeIntList(merged))})
 				case r.Set && r.Del:
 					return tx.Delete("state", r.Key)
 				case r.Set:
-					return tx.Put("state", r.Key, store.Row{"v": r.Val})
+					return tx.Put("state", r.Key, store.Row{"v": string(r.Val)})
 				default:
-					cur := DecodeInt([]byte(resp.Prev))
+					cur := DecodeInt(resp.Prev)
 					return tx.Put("state", r.Key, store.Row{"v": string(EncodeInt(cur + r.Delta))})
 				}
 			})
@@ -171,7 +173,7 @@ func (t *microTxn) Get(key string) ([]byte, bool, error) {
 	if err := t.cell.call(key, "get", "", kvGetReq{Key: key}, &resp, t.tr); err != nil {
 		return nil, false, err
 	}
-	raw, found := []byte(resp.Val), resp.Found
+	raw, found := resp.Val, resp.Found
 	if !found {
 		raw = nil
 	}
@@ -259,7 +261,7 @@ func (c *microCell) invoke(reqID, opName string, args []byte, tr *fabric.Trace) 
 				req := kvApplyReq{Key: w.key, Delta: w.delta}
 				switch {
 				case w.set:
-					req = kvApplyReq{Key: w.key, Set: true, Val: string(w.val)}
+					req = kvApplyReq{Key: w.key, Set: true, Val: w.val}
 				case w.push:
 					req = kvApplyReq{Key: w.key, Push: true, ID: w.id, Cap: w.cap}
 				}

@@ -11,6 +11,7 @@ import (
 
 	"tca/internal/fabric"
 	"tca/internal/statefun"
+	"tca/internal/wire"
 )
 
 // statefunCell deploys an App on stateful dataflow functions. Every key's
@@ -112,23 +113,23 @@ func (m sfMsg) encode() []byte {
 	n := len(m.Req) + len(m.Op) + len(m.Args) + len(m.Key) + len(m.Val) + len(m.Probe)
 	b := make([]byte, 0, n+32)
 	b = append(b, byte(m.Kind))
-	b = statefun.AppendString(b, m.Req)
-	b = statefun.AppendString(b, m.Op)
-	b = statefun.AppendBytes(b, m.Args)
-	b = statefun.AppendString(b, m.Key)
-	b = statefun.AppendBytes(b, m.Val)
-	b = statefun.AppendBool(b, m.Found)
+	b = wire.AppendString(b, m.Req)
+	b = wire.AppendString(b, m.Op)
+	b = wire.AppendBytes(b, m.Args)
+	b = wire.AppendString(b, m.Key)
+	b = wire.AppendBytes(b, m.Val)
+	b = wire.AppendBool(b, m.Found)
 	b = binary.AppendVarint(b, m.Delta)
 	b = binary.AppendVarint(b, m.ID)
 	b = binary.AppendVarint(b, int64(m.Cap))
-	return statefun.AppendString(b, m.Probe)
+	return wire.AppendString(b, m.Probe)
 }
 
 // decodeSfMsg parses an encoded sfMsg. Args and Val alias b (see
-// statefun.Decoder): the state backend copies whatever is stored, and
+// wire.Decoder): the state backend copies whatever is stored, and
 // nothing downstream mutates them.
 func decodeSfMsg(b []byte) (sfMsg, error) {
-	d := statefun.NewDecoder(b)
+	d := wire.NewDecoder(b)
 	m := sfMsg{
 		Kind:  sfKind(d.Byte()),
 		Req:   d.String(),
@@ -152,12 +153,12 @@ type sfProbeResp struct {
 }
 
 func (r sfProbeResp) encode() []byte {
-	b := statefun.AppendBool(make([]byte, 0, len(r.Val)+8), r.Found)
-	return statefun.AppendBytes(b, r.Val)
+	b := wire.AppendBool(make([]byte, 0, len(r.Val)+8), r.Found)
+	return wire.AppendBytes(b, r.Val)
 }
 
 func decodeSfProbeResp(b []byte) (sfProbeResp, error) {
-	d := statefun.NewDecoder(b)
+	d := wire.NewDecoder(b)
 	r := sfProbeResp{Found: d.Bool(), Val: d.Bytes()}
 	return r, d.Finish()
 }
@@ -173,12 +174,12 @@ type sfDone struct {
 }
 
 func (o sfDone) encode() []byte {
-	b := statefun.AppendString(make([]byte, 0, len(o.Err)+len(o.Val)+8), o.Err)
-	return statefun.AppendBytes(b, o.Val)
+	b := wire.AppendString(make([]byte, 0, len(o.Err)+len(o.Val)+8), o.Err)
+	return wire.AppendBytes(b, o.Val)
 }
 
 func decodeSfDone(b []byte) (sfDone, error) {
-	d := statefun.NewDecoder(b)
+	d := wire.NewDecoder(b)
 	o := sfDone{Err: d.String(), Val: d.Bytes()}
 	return o, d.Finish()
 }
@@ -565,11 +566,11 @@ func encodeSfWrites(ws []sfWrite) []byte {
 	}
 	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(ws)))
 	for _, w := range ws {
-		b = statefun.AppendString(b, w.Key)
-		b = statefun.AppendBool(b, w.Set)
-		b = statefun.AppendBytes(b, w.Val)
+		b = wire.AppendString(b, w.Key)
+		b = wire.AppendBool(b, w.Set)
+		b = wire.AppendBytes(b, w.Val)
 		b = binary.AppendVarint(b, w.Delta)
-		b = statefun.AppendBool(b, w.Push)
+		b = wire.AppendBool(b, w.Push)
 		b = binary.AppendVarint(b, w.ID)
 		b = binary.AppendVarint(b, int64(w.Cap))
 	}
@@ -578,7 +579,7 @@ func encodeSfWrites(ws []sfWrite) []byte {
 
 // decodeSfWrites parses an encoded write tail; Val fields alias b.
 func decodeSfWrites(b []byte) ([]sfWrite, error) {
-	d := statefun.NewDecoder(b)
+	d := wire.NewDecoder(b)
 	ws := make([]sfWrite, d.Count(sfWriteMinSize))
 	for i := range ws {
 		ws[i] = sfWrite{

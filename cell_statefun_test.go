@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"tca/internal/statefun"
+	"tca/internal/wire"
 )
 
 // nilIfEmpty is what a decoded byte field holds: empty and nil encode
@@ -120,7 +120,7 @@ func TestSfDecodersRejectTruncation(t *testing.T) {
 	}
 	for _, r := range records {
 		for n := 0; n < len(r.full); n++ {
-			if err := r.decode(r.full[:n]); !errors.Is(err, statefun.ErrMalformed) {
+			if err := r.decode(r.full[:n]); !errors.Is(err, wire.ErrMalformed) {
 				t.Errorf("%x cut to %d bytes: err = %v, want ErrMalformed", r.full, n, err)
 			}
 		}

@@ -88,6 +88,9 @@ type ConcurrencyResult struct {
 	GraphCycles int
 	// Audited reports whether the auditor ran.
 	Audited bool
+	// TxnExhausted counts the actor cell's transactions that ran out of
+	// wound-wait restarts (actor.txn_exhausted); zero on other models.
+	TxnExhausted int64
 	// AcceptSamples and ApplySamples are the bounded reservoirs' retained
 	// sample sets, exported so grid repeats can pool their tails.
 	AcceptSamples, ApplySamples []time.Duration
@@ -420,6 +423,9 @@ func RunConcurrencyCellOpts(mix string, model ProgrammingModel, clients, ops int
 		ApplyP99:      applyRes.P99(),
 		AcceptSamples: acceptRes.Samples(),
 		ApplySamples:  applyRes.Samples(),
+	}
+	if ac, ok := cell.(*actorCell); ok {
+		out.TxnExhausted = ac.sys.Metrics().Counter("actor.txn_exhausted").Value()
 	}
 	if aud != nil {
 		anomalies, err := aud.Verify(cell)

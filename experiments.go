@@ -602,6 +602,7 @@ func runE19(row grid.Row, seed int64, ops int) (grid.Sample, error) {
 // concurrencyRun returns the E20/E21 run function: one (mix, model,
 // clients) cell through tca.RunConcurrencyCellOpts, pipelined Sessions
 // driven closed-loop, audited live unless the row's audit knob is off.
+// Actor rows report the cell's wound-wait exhaustions as txn_exhausted.
 // logDir backs the deterministic cell with a real log ("" keeps the
 // modeled append).
 func concurrencyRun(logDir string) grid.RunFunc {
@@ -628,6 +629,9 @@ func concurrencyRun(logDir string) grid.RunFunc {
 				"apply_p50_us":  float64(res.ApplyP50) / 1e3,
 				"rejected":      float64(res.Rejected),
 			},
+		}
+		if model == Actors {
+			s.Extra["txn_exhausted"] = float64(res.TxnExhausted)
 		}
 		if res.Audited {
 			s.Extra["anomalies"] = float64(len(res.Anomalies))

@@ -50,7 +50,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -249,22 +248,6 @@ type Result struct {
 	Err   string // "" = committed
 	TID   int64
 	Seq   int64
-}
-
-// request is the input-log wire format. GSeq is zero for transactions
-// appended directly to their home partition; the sequencer stamps
-// cross-partition markers with their global sequence offset + 1. A group
-// append (SubmitAsync batching concurrent submissions) carries its member
-// transactions in Batch instead — one log record, many transactions, one
-// SequenceDelay: the amortization that makes pipelined clients scale the
-// log's serial append rate.
-type request struct {
-	ReqID string    `json:"r,omitempty"`
-	Fn    string    `json:"f,omitempty"`
-	Keys  []string  `json:"k,omitempty"`
-	Args  []byte    `json:"a,omitempty"`
-	GSeq  int64     `json:"g,omitempty"`
-	Batch []request `json:"b,omitempty"`
 }
 
 // maxGroupAppend is the default bound on how many concurrent submissions
@@ -721,8 +704,8 @@ func (r *Runtime) runSequencer(stop chan struct{}) {
 // dropped here, so each partition log carries at most one marker per
 // cross-partition request.
 func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{}) {
-	var req request
-	if err := json.Unmarshal(m.Value, &req); err != nil {
+	req, err := decodeRequest(m.Value)
+	if err != nil {
 		r.m.Counter("core.poison").Inc()
 		return
 	}
@@ -737,11 +720,7 @@ func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{
 		return
 	}
 	req.GSeq = m.Offset + 1
-	raw, err := json.Marshal(req)
-	if err != nil {
-		r.m.Counter("core.poison").Inc()
-		return
-	}
+	raw := encodeRequest(req)
 	for _, p := range r.partitionsOf(req.Keys) {
 		if r.dlog != nil {
 			if err := r.appendMarkerDurable(p, req.ReqID, raw, m.Offset, stop); err != nil {
@@ -763,7 +742,9 @@ func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{
 // current group — classic group commit. A group of N concurrent
 // submissions therefore costs one record's delay instead of N, which is
 // why the deterministic cell's throughput grows with client count in E20.
-// A group of one keeps the legacy single-request record shape.
+// Each group is one log record (record.go) — many transactions, one
+// SequenceDelay: the amortization that makes pipelined clients scale the
+// log's serial append rate.
 func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{}) {
 	defer r.wg.Done()
 	var owed time.Duration
@@ -811,40 +792,24 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 				runtime.Gosched()
 			}
 		}
-		var raw []byte
-		var err error
 		if len(batch) > 1 {
 			r.m.Counter("core.group_appends").Inc()
 			r.m.Counter("core.grouped_txns").Add(int64(len(batch)))
 		}
+		members := make([][]byte, len(batch))
+		for i, ps := range batch {
+			members[i] = encodeRequest(ps.req)
+		}
+		raw := encodeGroup(members)
+		var err error
 		if r.dlog != nil {
-			// WAL mode: marshal the members individually (they are the
-			// Merkle leaves and the replayable units), persist the group,
-			// then produce the combined record — the ack below means "on
-			// disk per the fsync policy".
-			members := make([][]byte, len(batch))
-			for i, ps := range batch {
-				if members[i], err = json.Marshal(ps.req); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				raw = combineGroup(members)
-				err = r.appendBatchDurable(part, members, raw, stop)
-			}
+			// WAL mode: the members are the Merkle leaves and the
+			// replayable units; persist the group, then produce the
+			// combined record — the ack below means "on disk per the
+			// fsync policy".
+			err = r.appendBatchDurable(part, members, raw, stop)
 		} else {
-			if len(batch) == 1 {
-				raw, err = json.Marshal(batch[0].req)
-			} else {
-				reqs := make([]request, len(batch))
-				for i, ps := range batch {
-					reqs[i] = ps.req
-				}
-				raw, err = json.Marshal(request{Batch: reqs})
-			}
-			if err == nil {
-				_, err = r.broker.Produce(r.logTopic(part), "", raw)
-			}
+			_, err = r.broker.Produce(r.logTopic(part), "", raw)
 		}
 		for _, ps := range batch {
 			ps.acked <- err
@@ -861,27 +826,30 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 // written by the sequencer; everything else is a home-partition
 // transaction scheduled exactly as in the single-log runtime.
 func (r *Runtime) schedule(part int, off int64, raw []byte, stop chan struct{}) {
-	var req request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		r.m.Counter("core.poison").Inc()
-		return
-	}
-	if len(req.Batch) > 0 {
+	tid := off*int64(r.nparts) + int64(part)
+	if isGroup(raw) {
+		reqs, err := decodeGroup(raw)
+		if err != nil {
+			r.m.Counter("core.poison").Inc()
+			return
+		}
 		// Members of a group append share the record's transaction id; they
 		// were all single-partition submissions homed here, and replay
 		// unpacks the identical record identically.
-		tid := off*int64(r.nparts) + int64(part)
-		for i := range req.Batch {
-			r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+int64(i)+1, req.Batch[i], stop)
+		for i := range reqs {
+			r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+int64(i)+1, reqs[i], stop)
 		}
 		return
 	}
-	parts := r.partitionsOf(req.Keys)
-	if len(parts) > 1 {
+	req, err := decodeRequest(raw)
+	if err != nil {
+		r.m.Counter("core.poison").Inc()
+		return
+	}
+	if parts := r.partitionsOf(req.Keys); len(parts) > 1 {
 		r.scheduleCross(part, parts, req, stop)
 		return
 	}
-	tid := off*int64(r.nparts) + int64(part)
 	r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+1, req, stop)
 }
 
@@ -1233,11 +1201,7 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 			}
 			r.crossPending.Add(1)
 		}
-		raw, err := json.Marshal(req)
-		if err != nil {
-			r.crossDone()
-			return fail(err)
-		}
+		raw := encodeRequest(req)
 		if dlog != nil {
 			// Cross-partition submissions persist in the global-sequence
 			// log before the topic sees them: the gseq log is their

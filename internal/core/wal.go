@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -23,12 +22,12 @@ import (
 // frontier).
 //
 // On disk, one logical group append is a *header record* followed by its
-// member records:
+// member records (formats in record.go):
 //
-//	header  {"n": N, "root": <merkle root over the N member payloads>}
-//	member  payload 1
+//	header  N, merkle root over the N member payloads
+//	member  txn record 1
 //	...
-//	member  payload N
+//	member  txn record N
 //
 // The root makes each group tamper-evident beyond the per-record CRC: a
 // rewrite that fixes up the CRC still breaks the root, and a stored proof
@@ -75,12 +74,6 @@ func (p FsyncPolicy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
-}
-
-// walHeader is the header record of one on-disk group.
-type walHeader struct {
-	N    int    `json:"n"`
-	Root []byte `json:"root"`
 }
 
 // durableLog is the runtime's set of write-ahead logs: one per input-log
@@ -178,15 +171,10 @@ func (d *durableLog) close() {
 // appendGroup writes one group (header + members) to log l. The caller
 // holds the matching mutex.
 func appendGroup(l *wal.Log, members [][]byte) error {
-	root := wal.MerkleRoot(members)
-	hdr, err := json.Marshal(walHeader{N: len(members), Root: root[:]})
-	if err != nil {
-		return err
-	}
 	payloads := make([][]byte, 0, len(members)+1)
-	payloads = append(payloads, hdr)
+	payloads = append(payloads, encodeHeader(len(members), wal.MerkleRoot(members)))
 	payloads = append(payloads, members...)
-	_, err = l.AppendBatch(payloads)
+	_, err := l.AppendBatch(payloads)
 	return err
 }
 
@@ -225,12 +213,13 @@ func readGroups(l *wal.Log) (groups []group, torn int, err error) {
 	}
 	replayErr := l.Replay(func(payload []byte) error {
 		if cur == nil {
-			var hdr walHeader
-			if err := json.Unmarshal(payload, &hdr); err != nil || hdr.N <= 0 {
+			n, hroot, err := decodeHeader(payload)
+			if err != nil {
 				return fmt.Errorf("%w: malformed group header", ErrLogTampered)
 			}
-			cur = &group{members: make([][]byte, 0, hdr.N)}
-			want, root = hdr.N, hdr.Root
+			// n comes off the disk: bound the preallocation, not the group.
+			cur = &group{members: make([][]byte, 0, min(n, maxGroupAppend))}
+			want, root = n, append([]byte(nil), hroot...)
 			return nil
 		}
 		cur.members = append(cur.members, append([]byte(nil), payload...))
@@ -283,7 +272,7 @@ func (r *Runtime) bootstrap() error {
 				d.markerHi[p] = gseq
 				continue
 			}
-			raw := combineGroup(g.members)
+			raw := encodeGroup(g.members)
 			r.broker.ProduceIdempotentTo(r.logTopic(p), "", raw, walProducerID(r.cfg.Name, p), d.groups[p])
 			d.groups[p]++
 			r.m.Counter("core.wal_replayed_groups").Inc()
@@ -335,34 +324,11 @@ func markerOf(members [][]byte) ([]byte, int64) {
 	if len(members) != 1 {
 		return nil, 0
 	}
-	var req request
-	if err := json.Unmarshal(members[0], &req); err != nil {
-		return nil, 0
-	}
-	if req.GSeq == 0 {
+	req, err := decodeRequest(members[0])
+	if err != nil || req.GSeq == 0 {
 		return nil, 0
 	}
 	return members[0], req.GSeq
-}
-
-// combineGroup rebuilds the broker record for one batcher group append: a
-// single member is its own record; N members are the {"b":[...]} group
-// record — byte-identical to the original json.Marshal(request{Batch}),
-// since each member payload *is* the original member marshaling.
-func combineGroup(members [][]byte) []byte {
-	if len(members) == 1 {
-		return members[0]
-	}
-	var buf bytes.Buffer
-	buf.WriteString(`{"b":[`)
-	for i, m := range members {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(m)
-	}
-	buf.WriteString(`]}`)
-	return buf.Bytes()
 }
 
 // waitDurable is the second phase of the FsyncInterval two-phase ack:

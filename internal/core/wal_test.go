@@ -311,9 +311,9 @@ func TestDurableLogTamperDetected(t *testing.T) {
 				break
 			}
 			payload := data[off+8 : off+8+n]
-			// Member records carry the function name; headers don't.
-			if !tampered && containsBytes(payload, []byte(`"f":"deposit"`)) {
-				payload[len(payload)-2] ^= 0x01 // forge one byte…
+			// Member records decode as deposit transactions; headers don't.
+			if req, err := decodeRequest(payload); !tampered && err == nil && req.Fn == "deposit" {
+				payload[len(payload)-2] ^= 0x01 // forge one byte of the args…
 				binary.LittleEndian.PutUint32(data[off+4:off+8],
 					crc32.Checksum(payload, castagnoli)) // …and fix the CRC
 				tampered = true
@@ -337,22 +337,6 @@ func TestDurableLogTamperDetected(t *testing.T) {
 	if !errors.Is(err, ErrLogTampered) {
 		t.Fatalf("Start over tampered log = %v, want ErrLogTampered", err)
 	}
-}
-
-func containsBytes(haystack, needle []byte) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		match := true
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // TestDurableLogMaxGroupAppend pins the configurable group-append cap: the

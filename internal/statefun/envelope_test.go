@@ -2,13 +2,13 @@ package statefun
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tca/internal/mq"
+	"tca/internal/wire"
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
@@ -42,43 +42,9 @@ func TestEnvelopeTruncatedAddressFails(t *testing.T) {
 	full := encodeEnvelope(to, from, []byte("payload"))
 	header := len(full) - len("payload")
 	for n := 0; n < header; n++ {
-		if _, err := decodeEnvelope(full[:n]); !errors.Is(err, ErrMalformed) {
-			t.Errorf("prefix of %d/%d bytes: err = %v, want ErrMalformed", n, header, err)
+		if _, err := decodeEnvelope(full[:n]); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("prefix of %d/%d bytes: err = %v, want wire.ErrMalformed", n, header, err)
 		}
-	}
-}
-
-func TestDecoderRejectsGarbage(t *testing.T) {
-	overlong := binary.AppendUvarint(nil, 1<<40) // beyond the buffer
-	for _, c := range []struct {
-		name string
-		in   []byte
-		read func(d *Decoder)
-	}{
-		{"bool out of range", []byte{2}, func(d *Decoder) { d.Bool() }},
-		{"length too long", overlong, func(d *Decoder) { d.Bytes() }},
-		{"count too large", overlong, func(d *Decoder) { d.Count(1) }},
-	} {
-		d := NewDecoder(c.in)
-		c.read(&d)
-		if !errors.Is(d.Err(), ErrMalformed) {
-			t.Errorf("%s: err = %v, want ErrMalformed", c.name, d.Err())
-		}
-	}
-	// Unterminated varint, and bytes left over after the last field.
-	d := NewDecoder([]byte{0x80, 0x80})
-	if d.Varint(); d.Err() == nil {
-		t.Error("unterminated varint decoded")
-	}
-	d = NewDecoder([]byte{1, 'a', 'z'})
-	if s := d.String(); s != "a" || d.Finish() == nil {
-		t.Errorf("trailing byte: got %q, err %v", s, d.Err())
-	}
-	// The first failure sticks.
-	d = NewDecoder([]byte{9})
-	d.Bytes()
-	if d.Uvarint() != 0 || d.Rest() != nil || !errors.Is(d.Finish(), ErrMalformed) {
-		t.Error("a failed decoder kept reading")
 	}
 }
 

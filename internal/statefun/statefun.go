@@ -16,10 +16,10 @@
 // are deduplicated by the broker — exactly-once function messaging without
 // any application code.
 //
-// Every message travels as an envelope in a binary wire format (wire.go):
-// the four length-prefixed address strings, then the payload bytes, with
-// no text encoding and no base64 step. The codec is exported, so functions
-// can encode their own payloads the same way.
+// Every message travels as an envelope in the shared binary field codec
+// (internal/wire): the four length-prefixed address strings, then the
+// payload bytes, with no text encoding and no base64 step. Functions can
+// encode their own payloads with the same codec.
 //
 // The missing transactional isolation across functions is not a bug: it is
 // the exact gap experiment E7 demonstrates, and the one internal/core
@@ -27,6 +27,7 @@
 package statefun
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,6 +36,7 @@ import (
 	"tca/internal/dataflow"
 	"tca/internal/metrics"
 	"tca/internal/mq"
+	"tca/internal/wire"
 )
 
 // Common runtime errors.
@@ -64,13 +66,36 @@ type Ref struct {
 func (r Ref) String() string { return r.Type + "/" + r.ID }
 
 // envelope is one message on the ingress and internal topics. Its wire
-// form (wire.go) is the four address strings To.Type, To.ID, From.Type and
-// From.ID, each length-prefixed, followed by the payload bytes up to the
-// end of the record; From is empty for ingress messages.
+// form (internal/wire) is the four address strings To.Type, To.ID,
+// From.Type and From.ID, each length-prefixed, followed by the payload
+// bytes up to the end of the record; From is empty for ingress messages.
 type envelope struct {
 	To      Ref
 	From    Ref
 	Payload []byte
+}
+
+// encodeEnvelope is the wire form of an envelope: the four address
+// strings, then the payload up to the end of the record.
+func encodeEnvelope(to, from Ref, payload []byte) []byte {
+	n := len(to.Type) + len(to.ID) + len(from.Type) + len(from.ID) + len(payload) + 4*binary.MaxVarintLen32
+	b := make([]byte, 0, n)
+	b = wire.AppendString(b, to.Type)
+	b = wire.AppendString(b, to.ID)
+	b = wire.AppendString(b, from.Type)
+	b = wire.AppendString(b, from.ID)
+	return append(b, payload...)
+}
+
+// decodeEnvelope parses an envelope; the payload aliases b.
+func decodeEnvelope(b []byte) (envelope, error) {
+	d := wire.NewDecoder(b)
+	env := envelope{
+		To:   Ref{Type: d.String(), ID: d.String()},
+		From: Ref{Type: d.String(), ID: d.String()},
+	}
+	env.Payload = d.Rest()
+	return env, d.Err()
 }
 
 // Handler is the body of a stateful function.

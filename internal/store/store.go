@@ -213,6 +213,7 @@ type DB struct {
 	clock    atomic.Uint64 // last committed timestamp
 	txnSeq   atomic.Uint64 // transaction id source (age for wound-wait)
 	commitMu sync.Mutex    // serializes validation + install
+	updateMu sync.RWMutex  // optimistic Update attempts share it; exclusive retries own it
 
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -302,23 +303,21 @@ func (db *DB) View(fn func(tx *Txn) error) error {
 
 // Update runs fn in a Serializable transaction, retrying on transient
 // conflicts up to 10 times. fn may be invoked multiple times.
+//
+// Optimistic retries alone are not live: under full contention on one
+// key, an attempt that keeps losing the first-committer-wins race to the
+// other updaters can lose every time, however the retries are spaced. So
+// after exclusiveAfter lost attempts, Update retries exclusively: it waits
+// for the optimistic attempts in flight to finish and runs alone among
+// Updates, where no other Update can invalidate it.
 func (db *DB) Update(fn func(tx *Txn) error) error {
-	const maxRetries = 10
+	const maxRetries, exclusiveAfter = 10, 3
 	var lastErr error
 	for i := 0; i < maxRetries; i++ {
 		if i > 0 {
 			time.Sleep(updateBackoff(i))
 		}
-		tx := db.Begin(Serializable)
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			if IsRetryable(err) {
-				lastErr = err
-				continue
-			}
-			return err
-		}
-		err := tx.Commit()
+		err := db.updateOnce(fn, i >= exclusiveAfter)
 		if err == nil {
 			return nil
 		}
@@ -328,6 +327,24 @@ func (db *DB) Update(fn func(tx *Txn) error) error {
 		lastErr = err
 	}
 	return fmt.Errorf("store: retries exhausted: %w", lastErr)
+}
+
+// updateOnce is one Update attempt, alongside the other optimistic
+// attempts or, when exclusive, alone among Updates.
+func (db *DB) updateOnce(fn func(tx *Txn) error, exclusive bool) error {
+	if exclusive {
+		db.updateMu.Lock()
+		defer db.updateMu.Unlock()
+	} else {
+		db.updateMu.RLock()
+		defer db.updateMu.RUnlock()
+	}
+	tx := db.Begin(Serializable)
+	if err := fn(tx); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }
 
 // updateBackoff is the wait before Update's retry number attempt (1 for

@@ -1,22 +1,35 @@
-package statefun
+// Package wire is the system's one binary field codec: a flat sequence of
+// fields with no tags and no framing beyond length prefixes. Integers are
+// encoding/binary varints (unsigned for lengths and counts, zig-zag signed
+// for values), strings and byte slices are a uvarint length followed by
+// the bytes, and a record's last field may run to the end of the buffer.
+// Both sides agree on the field order, so a record costs its payload plus
+// one or two bytes per field.
+//
+// Its users are every place the system picks its own encoding: the App
+// layer's stored values (EncodeInt, EncodeIntList), the deterministic
+// core's log records and WAL group headers (internal/core), the statefun
+// runtime's envelope (internal/statefun), and the stateful-dataflow cell's
+// choreography messages. Op arguments are the application's format and do
+// not go through it.
+package wire
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
-// ErrMalformed reports a wire record that is truncated or not a record of
-// the expected shape.
-var ErrMalformed = errors.New("statefun: malformed wire record")
+// ErrMalformed reports a record that is truncated or not a record of the
+// expected shape.
+var ErrMalformed = errors.New("wire: malformed record")
 
-// The wire codec is a flat sequence of fields with no tags and no framing
-// beyond length prefixes: integers are encoding/binary varints (unsigned
-// for lengths and counts, zig-zag signed for values), strings and byte
-// slices are a uvarint length followed by the bytes, and a record's last
-// field may run to the end of the buffer. Both sides agree on the field
-// order, so a record costs its payload plus one or two bytes per field.
-// The runtime's envelope and the dataflow cell's choreography messages are
-// encoded with it.
+// UvarintLen is the encoded size of x as an unsigned varint, for callers
+// that size a record's buffer exactly before appending to it.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// VarintLen is the encoded size of x as a zig-zag signed varint.
+func VarintLen(x int64) int { return UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // AppendString appends s with its uvarint length prefix.
 func AppendString(b []byte, s string) []byte {
@@ -64,13 +77,18 @@ func (d *Decoder) fail() {
 	d.buf = nil
 }
 
+// overlong reports a varint padded with a zero final byte: binary.Uvarint
+// accepts it, but the encoder never writes one, and rejecting it keeps
+// every value's encoding unique.
+func overlong(v []byte) bool { return len(v) > 1 && v[len(v)-1] == 0 }
+
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	if n <= 0 || overlong(d.buf[:n]) {
 		d.fail()
 		return 0
 	}
@@ -84,7 +102,7 @@ func (d *Decoder) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
+	if n <= 0 || overlong(d.buf[:n]) {
 		d.fail()
 		return 0
 	}
@@ -172,27 +190,4 @@ func (d *Decoder) Finish() error {
 		d.fail()
 	}
 	return d.err
-}
-
-// encodeEnvelope is the wire form of an envelope: the four address
-// strings, then the payload up to the end of the record.
-func encodeEnvelope(to, from Ref, payload []byte) []byte {
-	n := len(to.Type) + len(to.ID) + len(from.Type) + len(from.ID) + len(payload) + 4*binary.MaxVarintLen32
-	b := make([]byte, 0, n)
-	b = AppendString(b, to.Type)
-	b = AppendString(b, to.ID)
-	b = AppendString(b, from.Type)
-	b = AppendString(b, from.ID)
-	return append(b, payload...)
-}
-
-// decodeEnvelope parses an envelope; the payload aliases b.
-func decodeEnvelope(b []byte) (envelope, error) {
-	d := NewDecoder(b)
-	env := envelope{
-		To:   Ref{Type: d.String(), ID: d.String()},
-		From: Ref{Type: d.String(), ID: d.String()},
-	}
-	env.Payload = d.Rest()
-	return env, d.Err()
 }

@@ -20,8 +20,9 @@ import (
 //
 // State encoding:
 //
-//	acct/A     account A's balance (EncodeInt)
-//	journal/A  account A's recent entry ids (EncodeIntList, bounded)
+//	acct/A     account A's balance (EncodeInt, a binary varint)
+//	journal/A  account A's recent entry ids (EncodeIntList, bounded: a
+//	           count followed by binary varints)
 
 // ledgerJournalCap bounds each account's journal to its most recent
 // entries — the same capped-merge shape as social timelines.

@@ -15,7 +15,7 @@ import (
 // This retires the hand-rolled per-model marketplace adapters the old E15
 // carried — the workload is now ~100 lines of App, like TPC-C.
 //
-// State encoding (all values EncodeInt int64):
+// State encoding (all values EncodeInt: an int64 as a binary zig-zag varint):
 //
 //	cart/U     items in user U's cart (adds accumulate, checkout removes)
 //	price/P    product P's current price (starts at marketInitialPrice)
@@ -30,6 +30,8 @@ import (
 // — the write-skew between checkouts and price updates that MarketAuditor
 // detects as order-ledger drift from the serial reference. query-product
 // is declared ReadOnly: every cell answers it without write machinery.
+// checkout (and MarketAppReserved's reserve and claim bodies) returns the
+// amount charged as an EncodeInt value, in that binary form, not as text.
 
 // marketInitialPrice and marketInitialStock are the implicit state of an
 // untouched product; marketRestock/marketRestockFloor mirror the TPC-C

@@ -27,6 +27,10 @@ import (
 //	timeline/U  EncodeIntList — U's timeline, the socialTimelineCap newest delivered post ids
 //	follow/U/F  EncodeInt — 1 while F follows U, 0 after an unfollow
 //
+// Both encodings are binary varints (app.go). compose-post returns its
+// fan-out as an EncodeInt value and read-timeline the timeline as an
+// EncodeIntList value, in that binary form.
+//
 // Timelines and post logs are bounded id lists maintained with the
 // commutative Txn.PushCap merge, and follow edges are ±1 counters, so
 // every cell keeps the whole model exact — the social matrix (E19) shows

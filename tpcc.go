@@ -14,7 +14,7 @@ import (
 // warehouse YTD equal to the sum of payments, district order counters
 // equal to the number of NewOrders.
 //
-// State encoding (all values EncodeInt int64):
+// State encoding (all values EncodeInt: an int64 as a binary zig-zag varint):
 //
 //	wh/W        warehouse year-to-date payment total (starts 0)
 //	dist/W/D    orders issued in the district (starts 0; next_o_id - 1)
