@@ -1,5 +1,7 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
-# build, the full test suite under the race detector, and a one-iteration
+# build, the full test suite under the race detector, vet and tests of the
+# benchmark module (cellbench/ is its own Go module, so ./... never
+# reaches it, and it imports the tca surface), and a one-iteration
 # benchmark smoke pass so bench-only code paths can't rot unbuilt.
 .PHONY: verify stress fmt test loc bench bench-smoke bench-json bench-gate bench-baseline bench-pairs
 
@@ -11,6 +13,7 @@ verify:
 	go vet ./...
 	go build ./...
 	go test -race ./...
+	cd cellbench && go vet ./... && go test ./...
 	$(MAKE) bench-smoke
 
 # stress runs the concurrency tests under the race detector at GOMAXPROCS
@@ -50,15 +53,17 @@ bench:
 # compile-and-execute check for the bench-only code paths. The registered
 # experiments (experiments.go) run the same row functions under both
 # views, so the four tcabench passes check the binary's own flag surface
-# over the slowest paths at -ops scale: E21 runs the live-audited and the
-# unaudited concurrency cells, so the incremental-auditor path can't rot;
-# E22 drives real-WAL core cells on throwaway temp-dir logs (removed when
-# each row ends), a real append+fsync+replay smoke on every verify; E23
-# measures each cell's capacity and sweeps offered load past it through
-# the admission-control path (bounded queues, typed sheds, open-loop
-# reservoirs) on every cell; E24 deploys async and sequenced replica
-# groups and drives the geo-replication path end to end (shipping,
-# convergence, staleness probe).
+# over the slowest paths at -ops scale. E21, E23 and E24 run the one
+# driver (drive.go) over both loops and both target kinds: E21 its closed
+# loop of Sessions on live-audited and unaudited cells, so the
+# incremental-auditor path can't rot; E23 a closed-loop capacity
+# measurement per cell, then its open loop of Poisson arrivals past that
+# capacity through the admission-control path (bounded queues, typed
+# sheds, open-loop reservoirs) on every cell; E24 async and sequenced
+# replica groups, driving the geo-replication path end to end (shipping,
+# convergence, staleness probe). E22 drives real-WAL core cells on
+# throwaway temp-dir logs (removed when each row ends), a real
+# append+fsync+replay smoke on every verify.
 bench-smoke:
 	go test -bench . -benchtime 1x -run '^$$'
 	go run ./cmd/tcabench -experiment e21 -ops 24 > /dev/null

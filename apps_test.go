@@ -68,21 +68,18 @@ func TestReservedMarketEliminatesWriteSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent audited run")
 	}
-	res, err := RunConcurrencyCell("market-res", StatefulDataflow, 16, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audited {
+	res := driveMix(t, "market-res", StatefulDataflow, 16, 0, load{ops: 600, clients: 16})
+	if !res.audited {
 		t.Fatal("auditor did not run")
 	}
-	for _, a := range res.Anomalies {
+	for _, a := range res.anomalies {
 		t.Errorf("reserved checkout anomaly: %s", a)
 	}
-	if res.GraphCycles != 0 {
-		t.Errorf("GraphCycles = %d, want 0", res.GraphCycles)
+	if res.audit.GraphCycles != 0 {
+		t.Errorf("GraphCycles = %d, want 0", res.audit.GraphCycles)
 	}
-	if res.Issued-res.Rejected < 100 {
-		t.Fatalf("degenerate run: %d accepted of %d issued", res.Issued-res.Rejected, res.Issued)
+	if res.completed() < 100 {
+		t.Fatalf("degenerate run: %d completed of %d issued", res.completed(), res.issued)
 	}
 }
 
@@ -226,14 +223,11 @@ func TestNewMixesRegistered(t *testing.T) {
 	for _, mix := range []string{"booking", "ledger"} {
 		mix := mix
 		t.Run(mix, func(t *testing.T) {
-			res, err := RunConcurrencyCell(mix, Actors, 8, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Audited {
+			res := driveMix(t, mix, Actors, 8, 0, load{ops: 300, clients: 8})
+			if !res.audited {
 				t.Fatal("auditor did not run")
 			}
-			for _, a := range res.Anomalies {
+			for _, a := range res.anomalies {
 				t.Errorf("anomaly: %s", a)
 			}
 		})

@@ -255,18 +255,15 @@ func TestConcurrencyCellLiveAudit(t *testing.T) {
 		mix := mix
 		t.Run(mix, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunConcurrencyCellOpts(mix, Deterministic, 8, 120, ConcurrencyOptions{Audit: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Audited {
+			res := driveMix(t, mix, Deterministic, 8, 0, load{ops: 120, clients: 8})
+			if !res.audited {
 				t.Fatal("run not audited")
 			}
-			if len(res.Anomalies) != 0 {
-				t.Errorf("deterministic cell: anomalies = %v, want none", res.Anomalies)
+			if len(res.anomalies) != 0 {
+				t.Errorf("deterministic cell: anomalies = %v, want none", res.anomalies)
 			}
-			if res.Violations != 0 {
-				t.Errorf("deterministic cell: %d live violations, want none", res.Violations)
+			if res.audit.LiveViolations != 0 {
+				t.Errorf("deterministic cell: %d live violations, want none", res.audit.LiveViolations)
 			}
 		})
 	}

@@ -99,9 +99,9 @@ func Experiments(ops int) []Experiment {
 		{ID: "e19", Run: runE19, Sweep: specs(
 			grid.Spec{Experiment: "e19", BaseSeed: 9, Ops: ops, ThroughputKey: "tx_s"},
 			[]grid.Axis{model, axis("fanout", "8", "24", "64", "128")})},
-		{ID: "e20", Run: concurrencyRun(os.TempDir()), Sweep: specs(e20,
+		{ID: "e20", Run: concurrencyRun(true), Sweep: specs(e20,
 			[]grid.Axis{axis("mix", ConcurrencyMixes...), model, clients})},
-		{ID: "e21", Run: concurrencyRun(""), Sweep: specs(e21,
+		{ID: "e21", Run: concurrencyRun(false), Sweep: specs(e21,
 			[]grid.Axis{axis("mix", AuditedMixes...), axis("model", Deterministic.String(), StatefulDataflow.String()),
 				clients, axis("audit", "on", "off")})},
 		{ID: "e22", Run: runE22, Sweep: specs(
@@ -600,12 +600,11 @@ func runE19(row grid.Row, seed int64, ops int) (grid.Sample, error) {
 }
 
 // concurrencyRun returns the E20/E21 run function: one (mix, model,
-// clients) cell through tca.RunConcurrencyCellOpts, pipelined Sessions
-// driven closed-loop, audited live unless the row's audit knob is off.
-// Actor rows report the cell's wound-wait exhaustions as txn_exhausted.
-// logDir backs the deterministic cell with a real log ("" keeps the
-// modeled append).
-func concurrencyRun(logDir string) grid.RunFunc {
+// clients) cell driven closed-loop through pipelined Sessions, audited
+// live unless the row's audit knob is off. durable backs the
+// deterministic cell with a real log (E20) instead of the modeled append
+// (E21).
+func concurrencyRun(durable bool) grid.RunFunc {
 	return func(row grid.Row, seed int64, ops int) (grid.Sample, error) {
 		model, err := parseModel(row.Knob("model"))
 		if err != nil {
@@ -615,31 +614,17 @@ func concurrencyRun(logDir string) grid.RunFunc {
 		if err != nil {
 			return grid.Sample{}, err
 		}
-		res, err := RunConcurrencyCellOpts(row.Knob("mix"), model, clients, ops,
-			ConcurrencyOptions{Audit: row.Knob("audit") != "off", LogDir: logDir, Seed: seed})
+		cell, done, err := deployMix(row.Knob("mix"), model, clients, 0, durable)
 		if err != nil {
 			return grid.Sample{}, err
 		}
-		s := grid.Sample{
-			Throughput: res.Throughput(),
-			Accept:     res.AcceptSamples,
-			Apply:      res.ApplySamples,
-			Extra: map[string]float64{
-				"accept_p50_us": float64(res.AcceptP50) / 1e3,
-				"apply_p50_us":  float64(res.ApplyP50) / 1e3,
-				"rejected":      float64(res.Rejected),
-			},
+		defer done()
+		res, err := drive(target{cell: cell}, row.Knob("mix"), row.Knob("audit") != "off",
+			load{ops: ops, seed: seed, clients: clients})
+		if err != nil {
+			return grid.Sample{}, err
 		}
-		if model == Actors {
-			s.Extra["txn_exhausted"] = float64(res.TxnExhausted)
-		}
-		if res.Audited {
-			s.Extra["anomalies"] = float64(len(res.Anomalies))
-			s.Extra["violations"] = float64(res.Violations)
-			s.Extra["reordered"] = float64(res.Reordered)
-			s.Extra["graph_cycles"] = float64(res.GraphCycles)
-		}
-		return s, nil
+		return res.sample(), nil
 	}
 }
 
@@ -709,13 +694,16 @@ func runE22(row grid.Row, seed int64, ops int) (grid.Sample, error) {
 	return s, nil
 }
 
-// overloadRun returns the E23 run function: one overload-frontier point
-// through tca.RunOverloadCell, open-loop Poisson arrivals with admission
-// control on or off. A rate knob offers a fixed rate (the gate row); an
-// offered knob offers a multiple of the cell's closed-loop capacity,
-// measured once per (mix, model) and kept for the sweep so every row of
-// a cell offers multiples of the same calibration. Rows run one at a
-// time, so the calibration map needs no lock.
+// overloadRun returns the E23 run function: one overload-frontier point,
+// open-loop Poisson arrivals straight to the cell, with a tight queue
+// bound (shed=on, Options.MaxPending 64, so the frontier engages within
+// an experiment-sized run) or none (shed=off, the pre-admission-control
+// queues). A rate knob offers a fixed rate (the gate row); an offered
+// knob offers a multiple of the cell's closed-loop capacity — 16
+// pipelined clients, auditing off, measured once per (mix, model) and
+// kept for the sweep so every row of a cell offers multiples of the same
+// calibration. Rows run one at a time, so the calibration map needs no
+// lock.
 func overloadRun() grid.RunFunc {
 	capacity := map[string]float64{}
 	return func(row grid.Row, seed int64, ops int) (grid.Sample, error) {
@@ -737,90 +725,100 @@ func overloadRun() grid.RunFunc {
 			key := mix + "/" + model.String()
 			c, ok := capacity[key]
 			if !ok {
-				if c, err = MeasureCellCapacity(mix, model, 400); err != nil {
+				cell, done, err := deployMix(mix, model, 16, 0, true)
+				if err != nil {
 					return grid.Sample{}, err
 				}
-				if c <= 0 {
+				res, err := drive(target{cell: cell}, mix, false, load{ops: 400, clients: 16})
+				done()
+				if err != nil {
+					return grid.Sample{}, err
+				}
+				if c = res.throughput(); c <= 0 {
 					return grid.Sample{}, fmt.Errorf("e23: measured non-positive capacity for %s", key)
 				}
 				capacity[key] = c
 			}
 			rate = c * mult
 		}
-		res, err := RunOverloadCell(mix, model, rate, ops, OverloadOptions{
-			Shed:   row.Knob("shed") == "on",
-			LogDir: os.TempDir(),
-			Seed:   seed,
-		})
+		maxPending := -1
+		if row.Knob("shed") == "on" {
+			maxPending = 64
+		}
+		cell, done, err := deployMix(mix, model, 16, maxPending, true)
 		if err != nil {
 			return grid.Sample{}, err
 		}
-		return grid.Sample{
-			Throughput: res.Goodput(),
-			Accept:     res.AcceptSamples,
-			Apply:      res.ApplySamples,
-			Extra: map[string]float64{
-				"offered_s":      res.Offered,
-				"shed_pct":       100 * res.ShedFraction(),
-				"accept_p999_us": float64(res.AcceptP999) / 1e3,
-				"apply_p999_us":  float64(res.ApplyP999) / 1e3,
-			},
-		}, nil
+		defer done()
+		res, err := drive(target{cell: cell}, mix, false,
+			load{ops: ops, seed: seed, arrivals: workload.NewPoissonArrivals(seed, rate)})
+		if err != nil {
+			return grid.Sample{}, err
+		}
+		return res.sample(), nil
 	}
 }
 
-// runE24 measures one geo-frontier point through tca.RunGeoCell: the
-// marketplace as a replica group, closed-loop, or paced open-loop when
-// the row has a rate knob. Latencies are modeled (fabric trace) time.
-// The run must audit clean and converge exactly, or the row errors out.
+// runE24 measures one geo-frontier point: the marketplace as a replica
+// group — async on the dataflow cell, sequenced on the deterministic
+// core — driven closed-loop by 4 pipelined clients per region, or paced
+// open-loop when the row has a rate knob. Latencies are modeled (fabric
+// trace) time. Sequenced mode audits for real: the sequencer's log order
+// is the serialization, so the verdict must come back empty. Async mode
+// is checked for exact convergence instead — its local interleavings are
+// the drift E24 prices through the staleness probe. Either failure errors
+// the row out.
 func runE24(row grid.Row, seed int64, ops int) (grid.Sample, error) {
-	cfg := GeoConfig{Ops: ops, Seed: seed}
-	var err error
-	if cfg.Regions, err = intKnob(row, "regions", ""); err != nil {
-		return grid.Sample{}, err
-	}
-	if cfg.WAN, err = time.ParseDuration(row.Knob("wan")); err != nil {
-		return grid.Sample{}, fmt.Errorf("e24: bad wan %q", row.Knob("wan"))
-	}
-	if row.Knob("rate") != "" {
-		if cfg.Rate, err = floatKnob(row, "rate", ""); err != nil {
-			return grid.Sample{}, err
-		}
-	}
-	switch row.Knob("mode") {
-	case "async":
-		cfg.Mode = AsyncReplication
-	case "sequenced":
-		cfg.Mode = SequencedReplication
-	default:
-		return grid.Sample{}, fmt.Errorf("e24: unknown mode %q", row.Knob("mode"))
-	}
-	switch row.Knob("read") {
-	case "local":
-		cfg.Read = ReadLocal
-	case "home":
-		cfg.Read = ReadHome
-	default:
-		return grid.Sample{}, fmt.Errorf("e24: unknown read mode %q", row.Knob("read"))
-	}
-	res, err := RunGeoCell(cfg)
+	regions, err := intKnob(row, "regions", "")
 	if err != nil {
 		return grid.Sample{}, err
 	}
-	if n := len(res.Anomalies); n > 0 {
-		return grid.Sample{}, fmt.Errorf("e24: audited %d anomalies (first: %s)", n, res.Anomalies[0])
+	wan, err := time.ParseDuration(row.Knob("wan"))
+	if err != nil {
+		return grid.Sample{}, fmt.Errorf("e24: bad wan %q", row.Knob("wan"))
 	}
-	if !res.Converged {
-		return grid.Sample{}, fmt.Errorf("e24: replicas diverged on %d keys (first: %s)", len(res.Diverged), res.Diverged[0])
+	l := load{ops: ops, seed: seed, clients: 4}
+	if row.Knob("rate") != "" {
+		rate, err := floatKnob(row, "rate", "")
+		if err != nil {
+			return grid.Sample{}, err
+		}
+		l.clients, l.arrivals = 0, workload.NewPacedArrivals(rate)
 	}
-	return grid.Sample{
-		Throughput: float64(res.Issued-res.Rejected) / res.Elapsed.Seconds(),
-		Accept:     res.ReadSamples,
-		Apply:      res.WriteSamples,
-		Extra: map[string]float64{
-			"max_lag_ms":     float64(res.Staleness.MaxLag) / 1e6,
-			"lag_txns":       float64(res.Staleness.MaxLagTxns),
-			"shipped_writes": float64(res.Staleness.ShippedWrites),
-		},
-	}, nil
+	var mode ReplicationMode
+	model := StatefulDataflow
+	switch row.Knob("mode") {
+	case "async":
+		mode = AsyncReplication
+	case "sequenced":
+		mode, model = SequencedReplication, Deterministic
+	default:
+		return grid.Sample{}, fmt.Errorf("e24: unknown mode %q", row.Knob("mode"))
+	}
+	var read ReadMode
+	switch row.Knob("read") {
+	case "local":
+		read = ReadLocal
+	case "home":
+		read = ReadHome
+	default:
+		return grid.Sample{}, fmt.Errorf("e24: unknown read mode %q", row.Knob("read"))
+	}
+	g, err := DeployReplicated(model, mixTable[geoMix].app(), regions,
+		GeoOptions{Mode: mode, WAN: wan, Seed: seed, Cell: harnessCell})
+	if err != nil {
+		return grid.Sample{}, err
+	}
+	defer g.Close()
+	res, err := drive(target{group: g, read: read}, geoMix, mode == SequencedReplication, l)
+	if err != nil {
+		return grid.Sample{}, err
+	}
+	if n := len(res.anomalies); n > 0 {
+		return grid.Sample{}, fmt.Errorf("e24: audited %d anomalies (first: %s)", n, res.anomalies[0])
+	}
+	if n := len(res.diverged); n > 0 {
+		return grid.Sample{}, fmt.Errorf("e24: replicas diverged on %d keys (first: %s)", n, res.diverged[0])
+	}
+	return res.sample(), nil
 }

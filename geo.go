@@ -48,8 +48,8 @@ import (
 // Reads choose their consistency per request: ReadLocal serves from the
 // submitting region's replica (fast, possibly stale under async);
 // ReadHome round-trips the WAN to the home region (region 0), paying
-// latency for the freshest replica. E24 (RunGeoCell) measures the
-// resulting frontier.
+// latency for the freshest replica. E24 (BenchmarkE24_GeoFrontier)
+// measures the resulting frontier.
 
 // ReplicationMode selects how a replica group keeps its regions in sync.
 type ReplicationMode int

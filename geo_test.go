@@ -334,58 +334,46 @@ func TestGeoReadModesChargeTheWAN(t *testing.T) {
 	}
 }
 
-// TestRunGeoCellSequencedAuditsClean pins E24's sequenced half: the
-// audit runs and comes back empty, and every cross-region commit pays at
-// least one WAN round trip (the sequencer's quorum).
-func TestRunGeoCellSequencedAuditsClean(t *testing.T) {
+// TestE24SequencedAuditsClean pins E24's sequenced half on the driver:
+// the audit runs and comes back empty, and every cross-region commit pays
+// at least one WAN round trip (the sequencer's quorum).
+func TestE24SequencedAuditsClean(t *testing.T) {
 	const wan = 20 * time.Millisecond
-	res, err := RunGeoCell(GeoConfig{
-		Mode: SequencedReplication, Regions: 2, WAN: wan,
-		Read: ReadLocal, Clients: 2, Ops: 96,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audited {
+	res := driveGeo(t, SequencedReplication, wan, load{ops: 96, seed: 1, clients: 2})
+	if !res.audited {
 		t.Fatal("sequenced run did not audit")
 	}
-	for _, a := range res.Anomalies {
+	for _, a := range res.anomalies {
 		t.Errorf("anomaly: %s", a)
 	}
-	if res.WriteP50 < 2*wan {
-		t.Errorf("sequenced commit p50 = %v, want >= one WAN round trip (%v)", res.WriteP50, 2*wan)
+	if p50 := res.write.P50(); p50 < 2*wan {
+		t.Errorf("sequenced commit p50 = %v, want >= one WAN round trip (%v)", p50, 2*wan)
 	}
-	if res.Issued-res.Rejected < 48 {
-		t.Fatalf("degenerate run: %d accepted of %d issued", res.Issued-res.Rejected, res.Issued)
+	if res.completed() < 48 {
+		t.Fatalf("degenerate run: %d completed of %d issued", res.completed(), res.issued)
 	}
 }
 
-// TestRunGeoCellAsyncConvergesWithLocalReads pins E24's async half: the
-// replicas converge exactly after drain, the staleness probe is nonzero,
-// and local reads never pay the WAN.
-func TestRunGeoCellAsyncConvergesWithLocalReads(t *testing.T) {
+// TestE24AsyncConvergesWithLocalReads pins E24's async half on the
+// driver: the replicas converge exactly after drain, the staleness probe
+// is nonzero, and local reads never pay the WAN.
+func TestE24AsyncConvergesWithLocalReads(t *testing.T) {
 	const wan = 80 * time.Millisecond
-	res, err := RunGeoCell(GeoConfig{
-		Mode: AsyncReplication, Regions: 2, WAN: wan,
-		Read: ReadLocal, Clients: 2, Ops: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		for i, d := range res.Diverged {
+	res := driveGeo(t, AsyncReplication, wan, load{ops: 200, seed: 1, clients: 2})
+	if len(res.diverged) > 0 {
+		for i, d := range res.diverged {
 			if i >= 5 {
-				t.Errorf("... and %d more", len(res.Diverged)-5)
+				t.Errorf("... and %d more", len(res.diverged)-5)
 				break
 			}
 			t.Errorf("diverged: %s", d)
 		}
 		t.Fatal("async replicas did not converge after drain")
 	}
-	if res.Staleness.ShippedWrites == 0 || res.Staleness.MaxLag <= 0 {
-		t.Fatalf("staleness probe empty: %+v", res.Staleness)
+	if res.staleness.ShippedWrites == 0 || res.staleness.MaxLag <= 0 {
+		t.Fatalf("staleness probe empty: %+v", res.staleness)
 	}
-	if res.ReadP99 >= wan {
-		t.Errorf("local read p99 = %v pays the WAN (%v)", res.ReadP99, wan)
+	if p99 := res.read.P99(); p99 >= wan {
+		t.Errorf("local read p99 = %v pays the WAN (%v)", p99, wan)
 	}
 }

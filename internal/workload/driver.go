@@ -87,6 +87,8 @@ func ClosedLoop(clients, opsPerClient int, think time.Duration, op Op) DriverRes
 type ArrivalProcess interface {
 	// Gap returns the time until the next arrival.
 	Gap() time.Duration
+	// Rate returns the mean arrival rate in ops/second.
+	Rate() float64
 }
 
 // poissonArrivals draws exponential inter-arrival gaps — the memoryless
@@ -105,6 +107,19 @@ func NewPoissonArrivals(seed int64, rate float64) ArrivalProcess {
 func (p *poissonArrivals) Gap() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() / p.rate * float64(time.Second))
 }
+
+func (p *poissonArrivals) Rate() float64 { return p.rate }
+
+// pacedArrivals spaces arrivals exactly 1/rate apart — an open loop with
+// no arrival randomness, for rows whose offered rate must be pinned.
+type pacedArrivals struct{ rate float64 }
+
+// NewPacedArrivals returns evenly spaced arrivals at rate ops/second.
+func NewPacedArrivals(rate float64) ArrivalProcess { return pacedArrivals{rate: rate} }
+
+func (p pacedArrivals) Gap() time.Duration { return time.Duration(float64(time.Second) / p.rate) }
+
+func (p pacedArrivals) Rate() float64 { return p.rate }
 
 // OpenLoop issues n operations with Poisson arrivals at the given rate
 // (ops/second), regardless of how the server keeps up. Latency is measured

@@ -39,6 +39,17 @@ func TestArrivalsSeedStable(t *testing.T) {
 			t.Fatal("different seeds produced the identical schedule")
 		}
 	})
+	t.Run("paced", func(t *testing.T) {
+		a := NewPacedArrivals(500)
+		for i, g := range gaps(a, 16) {
+			if g != 2*time.Millisecond {
+				t.Fatalf("gap %d = %v, want 2ms at 500/s", i, g)
+			}
+		}
+		if a.Rate() != 500 {
+			t.Fatalf("Rate() = %g, want 500", a.Rate())
+		}
+	})
 }
 
 // TestOpenLoopRejectsInvalidRate pins the validation: a non-positive rate

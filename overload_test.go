@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tca/internal/workload"
 )
 
 // Tests for overload-aware admission control: a saturated cell sheds with
@@ -106,45 +108,28 @@ func TestShedConformanceAllCells(t *testing.T) {
 	}
 }
 
-// TestShedNeverReachesAuditor drives the audited overload runner far past
-// the worker-pool cells' bound: with the shed ops Discarded before
+// TestShedNeverReachesAuditor drives an audited open loop far past the
+// worker-pool cells' bound: with the shed ops Discarded before
 // observation, the audit must come back exact — a shed submission has no
 // intent the reference could miss.
 func TestShedNeverReachesAuditor(t *testing.T) {
 	for _, model := range []ProgrammingModel{Microservices, Actors, CloudFunctions} {
 		t.Run(model.String(), func(t *testing.T) {
-			res, err := RunOverloadCell("social", model, 200000, 400,
-				OverloadOptions{Shed: true, Audit: true, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Audited {
+			res := driveMix(t, "social", model, 16, 64,
+				load{ops: 400, seed: 3, arrivals: workload.NewPoissonArrivals(3, 200000)})
+			if !res.audited {
 				t.Fatal("auditor did not run")
 			}
-			if res.Shed == 0 {
+			if res.shed == 0 {
 				t.Fatal("offered 400 ops at 200k/s through a bound of ~80 and shed none")
 			}
-			if len(res.Anomalies) != 0 {
-				t.Fatalf("shed ops surfaced as anomalies: %v", res.Anomalies)
+			if len(res.anomalies) != 0 {
+				t.Fatalf("shed ops surfaced as anomalies: %v", res.anomalies)
 			}
-			if res.Violations != 0 {
-				t.Fatalf("shed ops surfaced as %d live violations", res.Violations)
+			if res.audit.LiveViolations != 0 {
+				t.Fatalf("shed ops surfaced as %d live violations", res.audit.LiveViolations)
 			}
 		})
-	}
-}
-
-// TestRunOverloadCellValidatesRate pins the open-loop validation at the
-// harness layer too.
-func TestRunOverloadCellValidatesRate(t *testing.T) {
-	if _, err := RunOverloadCell("social", Microservices, 0, 100, OverloadOptions{}); err == nil {
-		t.Fatal("rate 0 accepted")
-	}
-	if _, err := RunOverloadCell("social", Microservices, -1, 100, OverloadOptions{}); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if _, err := RunOverloadCell("social", Microservices, 100, 0, OverloadOptions{}); err == nil {
-		t.Fatal("zero ops accepted")
 	}
 }
 

@@ -51,9 +51,9 @@ type SessionOptions struct {
 
 // Session is a client of one deployed Cell: it assigns the session's
 // request ids, caps how many submissions are in flight, and (optionally)
-// orders ops that touch the same keys. Every workload driver in the
-// concurrency experiments (E20) holds one Session per simulated client —
-// the unit the paper's "millions of users" decompose into.
+// orders ops that touch the same keys. The harness's closed loop (E20,
+// E21, E24) holds one Session per simulated client — the unit the paper's
+// "millions of users" decompose into.
 type Session struct {
 	cell Cell
 	id   string

@@ -90,9 +90,10 @@
 // retries shed submissions with jittered exponential backoff
 // (SessionOptions.RetryBudget, Backoff), and can order ops on overlapping
 // keys (SessionOptions.OrderKeys) for session read-your-writes on the
-// eventual cells. The concurrency matrix (E20 in EXPERIMENTS.md) drives
-// every cell this way through workload.ClosedLoop; the rest of the bench
-// suite (bench_test.go) covers every other experiment.
+// eventual cells. The harness's one driver (drive.go) runs E20, E21, E23
+// and E24: its closed loop holds one pipelined Session per client, its
+// open loop submits each arrival straight to the cell; the rest of the
+// bench suite (bench_test.go) covers every other experiment.
 //
 // # Overload
 //
@@ -117,9 +118,9 @@
 // collapses. With admission control the cell does bounded work at its
 // capacity, answers the rest cheaply with ErrOverloaded, and tail latency
 // for accepted work stays bounded — goodput holds near peak at 2–4×
-// offered load. E23 (RunOverloadCell, BenchmarkE23_OverloadFrontier,
-// tcabench -experiment e23) measures exactly this frontier, with Poisson
-// arrivals from internal/workload.
+// offered load. E23 (BenchmarkE23_OverloadFrontier, tcabench -experiment
+// e23) measures exactly this frontier, with Poisson arrivals from
+// internal/workload.
 //
 // # Durability
 //
@@ -181,8 +182,8 @@
 // wall-modeled time (at most one ship interval plus one WAN delay), and
 // the widest per-key divergence window — and feeds the Auditor layer via
 // ObserveStaleness so audit verdicts carry the staleness context. E24
-// (RunGeoCell, BenchmarkE24_GeoFrontier, tcabench -experiment e24)
-// sweeps regions x WAN x read mode and measures the frontier: async
+// (BenchmarkE24_GeoFrontier, tcabench -experiment e24) sweeps regions x
+// WAN x read mode and measures the frontier: async
 // local reads are WAN-blind with bounded nonzero staleness, sequenced
 // commits pay the WAN round trip with zero anomalies.
 package tca
