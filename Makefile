@@ -2,8 +2,9 @@
 # build, the full test suite under the race detector, vet and tests of the
 # benchmark module (cellbench/ is its own Go module, so ./... never
 # reaches it, and it imports the tca surface), and a one-iteration
-# benchmark smoke pass so bench-only code paths can't rot unbuilt.
-.PHONY: verify stress fmt test loc bench bench-smoke bench-json bench-gate bench-baseline bench-pairs
+# benchmark smoke pass so bench-only code paths can't rot unbuilt. CI then
+# runs stress and fuzz-smoke (below) after it.
+.PHONY: verify stress fuzz-smoke fmt test loc bench bench-smoke bench-json bench-gate bench-baseline bench-pairs
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -31,6 +32,21 @@ stress:
 			-run '^TestUpdateRetriesConflicts$$' ./internal/store; \
 		GOMAXPROCS=$$p go test -race -count $(STRESS_COUNT) \
 			-run '^(TestGeoAsyncConvergenceAllCells|TestConcurrentSubmitMatchesSerialReference)$$' .; \
+	done
+
+# fuzz-smoke runs every Fuzz* target of the module, one at a time, for
+# FUZZTIME each: the binary decoders (core records, statefun envelopes and
+# choreography messages, App values) and the op-argument parsers, which
+# are checked differentially against encoding/json. Plain go test already
+# runs each target's seed corpus; this searches past it. A failing input
+# lands in the package's testdata/fuzz/ directory.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for f in $$(git ls-files -co --exclude-standard '*_test.go' | xargs grep -l '^func Fuzz'); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t ($$(dirname $$f))"; \
+			go test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+		done; \
 	done
 
 fmt:

@@ -137,7 +137,12 @@ func pushCapRMW(tx Txn, key string, id int64, cap int) error {
 	return tx.Put(key, EncodeIntList(mergeBounded(DecodeIntList(raw), id, cap)))
 }
 
-// Op is one named transactional operation of an application.
+// Op is one named transactional operation of an application. Its
+// arguments are opaque bytes to every cell. The bundled apps (bank, TPC-C,
+// marketplace, social, booking, ledger) carry JSON objects and build every
+// op with opFor over the one reflection-free parser of its argument type
+// (workload.ParseTPCCOp and its siblings, on wire.JSONReader), so Keys and
+// Body share a parser and neither decodes on its own.
 type Op struct {
 	// Name identifies the op within its App.
 	Name string
@@ -145,6 +150,8 @@ type Op struct {
 	// Deterministic cells schedule on it, locking cells lock it up front,
 	// sharded cells route with it, and dataflow cells gather reads from it
 	// before the body runs. Bodies must confine their Gets to these keys.
+	// Arguments that do not parse declare no keys; the body then fails
+	// with the parse error before touching state.
 	Keys func(args []byte) []string
 	// ReadOnly declares the op a pure query: its body reads its declared
 	// keys and returns a result without writing. Cells use the hint to
@@ -162,6 +169,36 @@ type Op struct {
 	// replay it for recovery. Returning an error aborts the op where the
 	// cell supports atomicity — no buffered writes apply.
 	Body func(tx Txn, args []byte) ([]byte, error)
+}
+
+// opFor builds an op whose Keys and Body share parse, the one parser of
+// its argument type: Keys declares nothing and Body returns the parse
+// error when the arguments do not parse.
+func opFor[A any](name string, parse func([]byte) (A, error), keys func(A) []string, body func(Txn, A) ([]byte, error)) Op {
+	return Op{
+		Name: name,
+		Keys: func(args []byte) []string {
+			a, err := parse(args)
+			if err != nil {
+				return nil
+			}
+			return keys(a)
+		},
+		Body: func(tx Txn, args []byte) ([]byte, error) {
+			a, err := parse(args)
+			if err != nil {
+				return nil, err
+			}
+			return body(tx, a)
+		},
+	}
+}
+
+// queryFor is opFor for a ReadOnly op.
+func queryFor[A any](name string, parse func([]byte) (A, error), keys func(A) []string, body func(Txn, A) ([]byte, error)) Op {
+	op := opFor(name, parse, keys, body)
+	op.ReadOnly = true
+	return op
 }
 
 // ErrReadOnlyOp rejects writes from the body of an Op declared ReadOnly.

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"tca/internal/fabric"
+	"tca/internal/wire"
+	"tca/internal/workload"
 )
 
 // The bank — the running example of the transactional-cloud-apps
@@ -42,7 +44,7 @@ type Bank interface {
 
 // State encoding: acct/N holds account N's balance as an EncodeInt value
 // (a binary zig-zag varint), the key Txn.Add maintains.
-func acctKey(n int) string { return fmt.Sprintf("acct/%d", n) }
+func acctKey(n int) string { return workload.AcctKey(n) }
 
 // bankDepositArgs / bankTransferArgs are the bank ops' wire arguments.
 type bankDepositArgs struct {
@@ -54,6 +56,42 @@ type bankTransferArgs struct {
 	From   int   `json:"from"`
 	To     int   `json:"to"`
 	Amount int64 `json:"amount"`
+}
+
+// parseBankDepositArgs / parseBankTransferArgs decode the bank ops' JSON
+// arguments as encoding/json would (wire.JSONReader).
+func parseBankDepositArgs(b []byte) (bankDepositArgs, error) {
+	var a bankDepositArgs
+	r := wire.NewJSONReader(b)
+	for it := r.Object(); r.Next(&it); {
+		switch string(r.Key()) {
+		case "account":
+			a.Account = r.Int()
+		case "amount":
+			a.Amount = r.Int64()
+		default:
+			r.Skip()
+		}
+	}
+	return a, r.Finish()
+}
+
+func parseBankTransferArgs(b []byte) (bankTransferArgs, error) {
+	var a bankTransferArgs
+	r := wire.NewJSONReader(b)
+	for it := r.Object(); r.Next(&it); {
+		switch string(r.Key()) {
+		case "from":
+			a.From = r.Int()
+		case "to":
+			a.To = r.Int()
+		case "amount":
+			a.Amount = r.Int64()
+		default:
+			r.Skip()
+		}
+	}
+	return a, r.Finish()
 }
 
 // ErrInsufficientFunds rejects overdrafts on cells that read before they
@@ -73,48 +111,27 @@ var ErrInsufficientFunds = errors.New("insufficient funds")
 // there. That is the missing-isolation anomaly of §4.2, surfaced rather
 // than papered over; money stays conserved in every cell regardless.
 func BankApp() *App {
-	app := NewApp("bank")
-	app.Register(Op{
-		Name: "deposit",
-		Keys: func(args []byte) []string {
-			var a bankDepositArgs
-			json.Unmarshal(args, &a)
-			return []string{acctKey(a.Account)}
-		},
-		Body: func(tx Txn, args []byte) ([]byte, error) {
-			var a bankDepositArgs
-			if err := json.Unmarshal(args, &a); err != nil {
-				return nil, err
-			}
-			return nil, tx.Add(acctKey(a.Account), a.Amount)
-		},
-	})
-	app.Register(Op{
-		Name: "transfer",
-		Keys: func(args []byte) []string {
-			var a bankTransferArgs
-			json.Unmarshal(args, &a)
-			return []string{acctKey(a.From), acctKey(a.To)}
-		},
-		Body: func(tx Txn, args []byte) ([]byte, error) {
-			var a bankTransferArgs
-			if err := json.Unmarshal(args, &a); err != nil {
-				return nil, err
-			}
-			raw, _, err := tx.Get(acctKey(a.From))
-			if err != nil {
-				return nil, err
-			}
-			if DecodeInt(raw) < a.Amount {
-				return nil, ErrInsufficientFunds
-			}
-			if err := tx.Add(acctKey(a.From), -a.Amount); err != nil {
-				return nil, err
-			}
-			return nil, tx.Add(acctKey(a.To), a.Amount)
-		},
-	})
-	return app
+	return NewApp("bank").
+		Register(opFor("deposit", parseBankDepositArgs,
+			func(a bankDepositArgs) []string { return []string{acctKey(a.Account)} },
+			func(tx Txn, a bankDepositArgs) ([]byte, error) {
+				return nil, tx.Add(acctKey(a.Account), a.Amount)
+			})).
+		Register(opFor("transfer", parseBankTransferArgs,
+			func(a bankTransferArgs) []string { return []string{acctKey(a.From), acctKey(a.To)} },
+			func(tx Txn, a bankTransferArgs) ([]byte, error) {
+				raw, _, err := tx.Get(acctKey(a.From))
+				if err != nil {
+					return nil, err
+				}
+				if DecodeInt(raw) < a.Amount {
+					return nil, ErrInsufficientFunds
+				}
+				if err := tx.Add(acctKey(a.From), -a.Amount); err != nil {
+					return nil, err
+				}
+				return nil, tx.Add(acctKey(a.To), a.Amount)
+			}))
 }
 
 // NewBank instantiates the bank under the given model on env with default
@@ -203,8 +220,10 @@ func NewBankAuditor() *BankAuditor {
 				if opName != "deposit" {
 					return 0
 				}
-				var a bankDepositArgs
-				json.Unmarshal(args, &a)
+				a, err := parseBankDepositArgs(args)
+				if err != nil {
+					return 0
+				}
 				return a.Amount
 			},
 		})

@@ -31,18 +31,13 @@ type bookingQueryResult struct {
 }
 
 // BookingApp builds the trip-booking App. Op arguments are JSON-encoded
-// workload.BookingOp descriptors.
+// workload.BookingOp descriptors, decoded by workload.ParseBookingOp.
 func BookingApp() *App {
-	app := NewApp("booking")
-	keys := func(args []byte) []string {
-		var op workload.BookingOp
-		json.Unmarshal(args, &op)
-		return op.Keys()
-	}
-	app.Register(Op{Name: workload.BookingReserve.String(), Keys: keys, Body: bookingReserve})
-	app.Register(Op{Name: workload.BookingCancel.String(), Keys: keys, Body: bookingCancel})
-	app.Register(Op{Name: workload.BookingQuery.String(), Keys: keys, ReadOnly: true, Body: bookingQuery})
-	return app
+	parse, keys := workload.ParseBookingOp, workload.BookingOp.Keys
+	return NewApp("booking").
+		Register(opFor(workload.BookingReserve.String(), parse, keys, bookingReserve)).
+		Register(opFor(workload.BookingCancel.String(), parse, keys, bookingCancel)).
+		Register(queryFor(workload.BookingQuery.String(), parse, keys, bookingQuery))
 }
 
 // bookingOpName maps a generated op to its registered op name.
@@ -50,11 +45,7 @@ func bookingOpName(op workload.BookingOp) string { return op.Kind.String() }
 
 // bookingReserve books the trip: one seat, one room, one ledger entry,
 // atomically under whatever mechanism the cell provides.
-func bookingReserve(tx Txn, args []byte) ([]byte, error) {
-	var op workload.BookingOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func bookingReserve(tx Txn, op workload.BookingOp) ([]byte, error) {
 	if err := tx.Add(workload.FlightKey(op.Flight), 1); err != nil {
 		return nil, err
 	}
@@ -66,11 +57,7 @@ func bookingReserve(tx Txn, args []byte) ([]byte, error) {
 
 // bookingCancel releases a previously booked trip — the compensation the
 // example's saga ran, as a first-class inverse op.
-func bookingCancel(tx Txn, args []byte) ([]byte, error) {
-	var op workload.BookingOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func bookingCancel(tx Txn, op workload.BookingOp) ([]byte, error) {
 	if err := tx.Add(workload.FlightKey(op.Flight), -1); err != nil {
 		return nil, err
 	}
@@ -81,11 +68,7 @@ func bookingCancel(tx Txn, args []byte) ([]byte, error) {
 }
 
 // bookingQuery reads the user's trip count.
-func bookingQuery(tx Txn, args []byte) ([]byte, error) {
-	var op workload.BookingOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func bookingQuery(tx Txn, op workload.BookingOp) ([]byte, error) {
 	raw, _, err := tx.Get(workload.TripKey(op.User))
 	if err != nil {
 		return nil, err
@@ -111,8 +94,8 @@ func NewBookingAuditor() *BookingAuditor {
 		KeyTotal(KeyTotal{
 			Name: "booking counters",
 			Delta: func(op string, args []byte) map[string]int64 {
-				var b workload.BookingOp
-				if json.Unmarshal(args, &b) != nil {
+				b, err := workload.ParseBookingOp(args)
+				if err != nil {
 					return nil
 				}
 				var d int64

@@ -1,17 +1,23 @@
-// Package wire is the system's one binary field codec: a flat sequence of
+// Package wire holds the system's two hand-written codecs, neither of
+// which uses reflection.
+//
+// The first (wire.go) is the one binary field codec: a flat sequence of
 // fields with no tags and no framing beyond length prefixes. Integers are
 // encoding/binary varints (unsigned for lengths and counts, zig-zag signed
 // for values), strings and byte slices are a uvarint length followed by
 // the bytes, and a record's last field may run to the end of the buffer.
 // Both sides agree on the field order, so a record costs its payload plus
-// one or two bytes per field.
+// one or two bytes per field. Its users are every place the system picks
+// its own encoding: the App layer's stored values (EncodeInt,
+// EncodeIntList), the deterministic core's log records and WAL group
+// headers (internal/core), the statefun runtime's envelope
+// (internal/statefun), and the stateful-dataflow cell's choreography
+// messages.
 //
-// Its users are every place the system picks its own encoding: the App
-// layer's stored values (EncodeInt, EncodeIntList), the deterministic
-// core's log records and WAL group headers (internal/core), the statefun
-// runtime's envelope (internal/statefun), and the stateful-dataflow cell's
-// choreography messages. Op arguments are the application's format and do
-// not go through it.
+// The second (json.go) reads op arguments. Those stay JSON objects, the
+// application's format on the wire, but the App's ops decode them with
+// JSONReader, one parse function per argument type, so the request path
+// never calls encoding/json.
 package wire
 
 import (

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -480,5 +481,36 @@ func TestSocialOpKeysByKind(t *testing.T) {
 	follow := SocialOp{Kind: SocialFollow, Author: 1, Follower: 9}
 	if got := follow.Keys(); len(got) != 1 || got[0] != FollowKey(1, 9) {
 		t.Fatalf("follow keys = %v", got)
+	}
+}
+
+// TestKeyFormats pins every key builder to the format string it replaced,
+// byte for byte, over negative, zero and extreme ids.
+func TestKeyFormats(t *testing.T) {
+	for _, v := range []int{-1, 0, 7, 12345, math.MaxInt64, math.MinInt64} {
+		w := int64(v)
+		for _, c := range []struct{ got, want string }{
+			{StockKey(v, -v), fmt.Sprintf("stock/%d/%d", v, -v)},
+			{CustomerKey(v, v, -v), fmt.Sprintf("cust/%d/%d/%d", v, v, -v)},
+			{DistrictKey(v, v), fmt.Sprintf("dist/%d/%d", v, v)},
+			{WarehouseKey(v), fmt.Sprintf("wh/%d", v)},
+			{CartKey(v), fmt.Sprintf("cart/%d", v)},
+			{PriceKey(v), fmt.Sprintf("price/%d", v)},
+			{MarketStockKey(v), fmt.Sprintf("mstock/%d", v)},
+			{OrderKey(v), fmt.Sprintf("order/%d", v)},
+			{PostsKey(v), fmt.Sprintf("posts/%d", v)},
+			{TimelineKey(v), fmt.Sprintf("timeline/%d", v)},
+			{FollowKey(v, 0), fmt.Sprintf("follow/%d/%d", v, 0)},
+			{ReservationKey(-v, w), fmt.Sprintf("resv/%d/%d", -v, w)},
+			{FlightKey(v), fmt.Sprintf("flight/%d", v)},
+			{HotelKey(v), fmt.Sprintf("hotel/%d", v)},
+			{TripKey(v), fmt.Sprintf("trip/%d", v)},
+			{AcctKey(v), fmt.Sprintf("acct/%d", v)},
+			{JournalKey(v), fmt.Sprintf("journal/%d", v)},
+		} {
+			if c.got != c.want {
+				t.Errorf("key %q, want %q", c.got, c.want)
+			}
+		}
 	}
 }

@@ -34,17 +34,12 @@ type ledgerQueryResult struct {
 }
 
 // LedgerApp builds the ledger App. Op arguments are JSON-encoded
-// workload.LedgerOp descriptors.
+// workload.LedgerOp descriptors, decoded by workload.ParseLedgerOp.
 func LedgerApp() *App {
-	app := NewApp("ledger")
-	keys := func(args []byte) []string {
-		var op workload.LedgerOp
-		json.Unmarshal(args, &op)
-		return op.Keys()
-	}
-	app.Register(Op{Name: workload.LedgerPost.String(), Keys: keys, Body: ledgerPost})
-	app.Register(Op{Name: workload.LedgerQuery.String(), Keys: keys, ReadOnly: true, Body: ledgerQueryBalance})
-	return app
+	parse, keys := workload.ParseLedgerOp, workload.LedgerOp.Keys
+	return NewApp("ledger").
+		Register(opFor(workload.LedgerPost.String(), parse, keys, ledgerPost)).
+		Register(queryFor(workload.LedgerQuery.String(), parse, keys, ledgerQueryBalance))
 }
 
 // ledgerOpName maps a generated op to its registered op name.
@@ -52,11 +47,7 @@ func ledgerOpName(op workload.LedgerOp) string { return op.Kind.String() }
 
 // ledgerPost applies one double-entry posting: debit, credit, and the
 // journal entry on both sides.
-func ledgerPost(tx Txn, args []byte) ([]byte, error) {
-	var op workload.LedgerOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func ledgerPost(tx Txn, op workload.LedgerOp) ([]byte, error) {
 	if err := tx.Add(workload.AcctKey(op.From), -op.Amount); err != nil {
 		return nil, err
 	}
@@ -70,11 +61,7 @@ func ledgerPost(tx Txn, args []byte) ([]byte, error) {
 }
 
 // ledgerQueryBalance reads one account's balance.
-func ledgerQueryBalance(tx Txn, args []byte) ([]byte, error) {
-	var op workload.LedgerOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func ledgerQueryBalance(tx Txn, op workload.LedgerOp) ([]byte, error) {
 	raw, _, err := tx.Get(workload.AcctKey(op.From))
 	if err != nil {
 		return nil, err
@@ -106,8 +93,8 @@ func NewLedgerAuditor() *LedgerAuditor {
 				if op != workload.LedgerPost.String() {
 					return nil
 				}
-				var l workload.LedgerOp
-				if json.Unmarshal(args, &l) != nil {
+				l, err := workload.ParseLedgerOp(args)
+				if err != nil {
 					return nil
 				}
 				return map[string]int64{

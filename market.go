@@ -55,19 +55,15 @@ type marketQueryResult struct {
 
 // MarketApp builds the marketplace as a model-agnostic App. Op arguments
 // are JSON-encoded workload.MarketOp descriptors, so any seeded
-// workload.MarketGen stream drives any cell.
+// workload.MarketGen stream drives any cell; workload.ParseMarketOp
+// decodes them for every op.
 func MarketApp() *App {
-	app := NewApp("market")
-	keys := func(args []byte) []string {
-		var op workload.MarketOp
-		json.Unmarshal(args, &op)
-		return op.Keys()
-	}
-	app.Register(Op{Name: workload.MarketAddToCart.String(), Keys: keys, Body: marketAddToCart})
-	app.Register(Op{Name: workload.MarketCheckout.String(), Keys: keys, Body: marketCheckout})
-	app.Register(Op{Name: workload.MarketQueryProduct.String(), Keys: keys, ReadOnly: true, Body: marketQueryProduct})
-	app.Register(Op{Name: workload.MarketUpdatePrice.String(), Keys: keys, Body: marketUpdatePrice})
-	return app
+	parse, keys := workload.ParseMarketOp, workload.MarketOp.Keys
+	return NewApp("market").
+		Register(opFor(workload.MarketAddToCart.String(), parse, keys, marketAddToCart)).
+		Register(opFor(workload.MarketCheckout.String(), parse, keys, marketCheckout)).
+		Register(queryFor(workload.MarketQueryProduct.String(), parse, keys, marketQueryProduct)).
+		Register(opFor(workload.MarketUpdatePrice.String(), parse, keys, marketUpdatePrice))
 }
 
 // marketOpName maps a generated op to its registered op name.
@@ -75,11 +71,7 @@ func marketOpName(op workload.MarketOp) string { return op.Kind.String() }
 
 // marketAddToCart drops qty items into the user's cart — a pure
 // commutative delta, exact on every cell.
-func marketAddToCart(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketAddToCart(tx Txn, op workload.MarketOp) ([]byte, error) {
 	return nil, tx.Add(workload.CartKey(op.User), int64(op.Qty))
 }
 
@@ -99,11 +91,7 @@ func marketPrice(tx Txn, product int) (int64, error) {
 // marketCheckout purchases the cart's items at the product's current
 // price: an honest read-modify-write across four keys. The price and cart
 // reads are exactly as fresh as the cell's isolation — which is the point.
-func marketCheckout(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketCheckout(tx Txn, op workload.MarketOp) ([]byte, error) {
 	raw, _, err := tx.Get(workload.CartKey(op.User))
 	if err != nil {
 		return nil, err
@@ -143,11 +131,7 @@ func marketCheckout(tx Txn, args []byte) ([]byte, error) {
 // marketQueryProduct is the read-only op: price and stock from one
 // consistent view, no writes — the path every cell answers without its
 // write machinery.
-func marketQueryProduct(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketQueryProduct(tx Txn, op workload.MarketOp) ([]byte, error) {
 	price, err := marketPrice(tx, op.Product)
 	if err != nil {
 		return nil, err
@@ -166,11 +150,7 @@ func marketQueryProduct(tx Txn, args []byte) ([]byte, error) {
 
 // marketUpdatePrice repositions a product — the blind write that, raced
 // against a checkout's price read, produces the write-skew E18 measures.
-func marketUpdatePrice(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketUpdatePrice(tx Txn, op workload.MarketOp) ([]byte, error) {
 	return nil, tx.Put(workload.PriceKey(op.Product), EncodeInt(op.Price))
 }
 
@@ -234,27 +214,18 @@ func (a *MarketAuditor) RecordOp(op workload.MarketOp) {
 // honored even if update-price lands in between — a business policy,
 // not an anomaly.
 func MarketAppReserved() *App {
-	app := NewApp("market-res")
-	keys := func(args []byte) []string {
-		var op workload.MarketOp
-		json.Unmarshal(args, &op)
-		return op.ReservedKeys()
-	}
-	app.Register(Op{Name: workload.MarketAddToCart.String(), Keys: keys, Body: marketReserve})
-	app.Register(Op{Name: workload.MarketCheckout.String(), Keys: keys, Body: marketClaim})
-	app.Register(Op{Name: workload.MarketQueryProduct.String(), Keys: keys, ReadOnly: true, Body: marketQueryProduct})
-	app.Register(Op{Name: workload.MarketUpdatePrice.String(), Keys: keys, Body: marketUpdatePrice})
-	return app
+	parse, keys := workload.ParseMarketOp, workload.MarketOp.ReservedKeys
+	return NewApp("market-res").
+		Register(opFor(workload.MarketAddToCart.String(), parse, keys, marketReserve)).
+		Register(opFor(workload.MarketCheckout.String(), parse, keys, marketClaim)).
+		Register(queryFor(workload.MarketQueryProduct.String(), parse, keys, marketQueryProduct)).
+		Register(opFor(workload.MarketUpdatePrice.String(), parse, keys, marketUpdatePrice))
 }
 
 // marketReserve escrows qty items at the client-quoted price: one Put to
 // a virgin per-reservation key plus one commutative stock decrement.
 // Re-execution re-puts the same value — idempotent by construction.
-func marketReserve(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketReserve(tx Txn, op workload.MarketOp) ([]byte, error) {
 	qty := int64(op.Qty)
 	if qty < 1 {
 		qty = 1
@@ -271,11 +242,7 @@ func marketReserve(tx Txn, args []byte) ([]byte, error) {
 // exactly this checkout, so the read can never race another writer; a
 // reservation whose write is still in flight reads as absent and simply
 // stays open — consistent with ordering this checkout before it.
-func marketClaim(tx Txn, args []byte) ([]byte, error) {
-	var op workload.MarketOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func marketClaim(tx Txn, op workload.MarketOp) ([]byte, error) {
 	var total int64
 	for _, id := range op.Claims {
 		key := workload.ReservationKey(op.User, id)

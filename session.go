@@ -2,9 +2,9 @@ package tca
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,7 +110,7 @@ func NewSession(cell Cell, id string, opts SessionOptions) *Session {
 // and — with OrderKeys — until the session's previous ops on overlapping
 // keys have completed.
 func (s *Session) Submit(opName string, args []byte, tr *fabric.Trace) Handle {
-	reqID := fmt.Sprintf("%s/%d", s.id, s.seq.Add(1))
+	reqID := s.reqID(s.seq.Add(1))
 	var keys []string
 	if s.opts.OrderKeys {
 		if op, ok := s.cell.App().Op(opName); ok {
@@ -246,6 +246,13 @@ func (s *Session) Errors() int64 { return s.errs.Load() }
 // Retries returns how many shed-retry attempts the session has made
 // beyond first submissions.
 func (s *Session) Retries() int64 { return s.retries.Load() }
+
+// reqID names the session's seq-th request "<session id>/<seq>", built on
+// the stack and copied once into the string.
+func (s *Session) reqID(seq int64) string {
+	var buf [64]byte
+	return string(strconv.AppendInt(append(append(buf[:0], s.id...), '/'), seq, 10))
+}
 
 // Submitted returns how many submissions the session has issued.
 func (s *Session) Submitted() int64 { return s.seq.Load() }

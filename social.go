@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"tca/internal/wire"
 	"tca/internal/workload"
 )
 
@@ -62,43 +63,43 @@ type socialTimelineArgs struct {
 	User int `json:"user"`
 }
 
+// parseSocialTimelineArgs decodes read-timeline's JSON argument as
+// encoding/json would (wire.JSONReader).
+func parseSocialTimelineArgs(b []byte) (socialTimelineArgs, error) {
+	var a socialTimelineArgs
+	r := wire.NewJSONReader(b)
+	for it := r.Object(); r.Next(&it); {
+		if string(r.Key()) == "user" {
+			a.User = r.Int()
+		} else {
+			r.Skip()
+		}
+	}
+	return a, r.Finish()
+}
+
 // SocialApp builds the social network as a model-agnostic App.
 // Op arguments are JSON-encoded workload.SocialOp descriptors — the
 // follower list rides in the compose-post descriptor, Calvin-style
 // reconnaissance done by the workload layer, whose generator owns the
 // authoritative graph and mutates it through the same follow/unfollow
-// stream the cells apply as edge counters.
+// stream the cells apply as edge counters. workload.ParseSocialOp decodes
+// them for every op.
 func SocialApp() *App {
-	app := NewApp("social")
-	keys := func(args []byte) []string {
-		var op workload.SocialOp
-		json.Unmarshal(args, &op)
-		return op.Keys()
-	}
-	app.Register(Op{Name: SocialComposePost, Keys: keys, Body: socialComposePost})
-	app.Register(Op{Name: SocialFollowOp, Keys: keys, Body: socialFollow})
-	app.Register(Op{Name: SocialUnfollowOp, Keys: keys, Body: socialUnfollow})
-	app.Register(Op{
-		Name:     SocialReadTimeline,
-		ReadOnly: true,
-		Keys: func(args []byte) []string {
-			var a socialTimelineArgs
-			json.Unmarshal(args, &a)
-			return []string{workload.TimelineKey(a.User)}
-		},
-		Body: socialReadTimeline,
-	})
-	return app
+	parse, keys := workload.ParseSocialOp, workload.SocialOp.Keys
+	return NewApp("social").
+		Register(opFor(SocialComposePost, parse, keys, socialComposePost)).
+		Register(opFor(SocialFollowOp, parse, keys, socialFollow)).
+		Register(opFor(SocialUnfollowOp, parse, keys, socialUnfollow)).
+		Register(queryFor(SocialReadTimeline, parseSocialTimelineArgs,
+			func(a socialTimelineArgs) []string { return []string{workload.TimelineKey(a.User)} },
+			socialReadTimeline))
 }
 
 // socialComposePost appends the post id to the author's log and fans it
 // out to every follower's timeline — pure commutative bounded-list merges
 // over the declared key set, exact on every cell in any delivery order.
-func socialComposePost(tx Txn, args []byte) ([]byte, error) {
-	var op workload.SocialOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func socialComposePost(tx Txn, op workload.SocialOp) ([]byte, error) {
 	if err := tx.PushCap(workload.PostsKey(op.Author), op.PostID, socialPostLogCap); err != nil {
 		return nil, err
 	}
@@ -113,31 +114,19 @@ func socialComposePost(tx Txn, args []byte) ([]byte, error) {
 // socialFollow flips the (author, follower) edge counter up — a
 // commutative delta, so churn interleaved with posts stays exact on every
 // cell.
-func socialFollow(tx Txn, args []byte) ([]byte, error) {
-	var op workload.SocialOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func socialFollow(tx Txn, op workload.SocialOp) ([]byte, error) {
 	return nil, tx.Add(workload.FollowKey(op.Author, op.Follower), 1)
 }
 
 // socialUnfollow flips the edge counter back down.
-func socialUnfollow(tx Txn, args []byte) ([]byte, error) {
-	var op workload.SocialOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func socialUnfollow(tx Txn, op workload.SocialOp) ([]byte, error) {
 	return nil, tx.Add(workload.FollowKey(op.Author, op.Follower), -1)
 }
 
 // socialReadTimeline returns the user's timeline — the bounded list of
 // newest delivered post ids, canonically encoded — via the read-only fast
 // path of every cell.
-func socialReadTimeline(tx Txn, args []byte) ([]byte, error) {
-	var a socialTimelineArgs
-	if err := json.Unmarshal(args, &a); err != nil {
-		return nil, err
-	}
+func socialReadTimeline(tx Txn, a socialTimelineArgs) ([]byte, error) {
 	raw, _, err := tx.Get(workload.TimelineKey(a.User))
 	if err != nil {
 		return nil, err
@@ -184,8 +173,10 @@ func NewSocialAuditor() *SocialAuditor {
 			if opName != SocialComposePost {
 				return
 			}
-			var op workload.SocialOp
-			json.Unmarshal(args, &op)
+			op, err := workload.ParseSocialOp(args)
+			if err != nil {
+				return
+			}
 			a.mu.Lock()
 			a.lastPost[op.Author] = op.PostID
 			a.mu.Unlock()

@@ -312,3 +312,13 @@ func TestSessionOrderKeysReadYourWrites(t *testing.T) {
 		t.Fatalf("%d submissions failed", sess.Errors())
 	}
 }
+
+// TestSessionRequestIDs pins the request id format "<session id>/<seq>".
+func TestSessionRequestIDs(t *testing.T) {
+	s := &Session{id: "client-3"}
+	for _, seq := range []int64{1, 99, 100, 1 << 40} {
+		if got, want := s.reqID(seq), fmt.Sprintf("%s/%d", "client-3", seq); got != want {
+			t.Errorf("reqID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}

@@ -40,19 +40,14 @@ const (
 
 // TPCCApp builds the TPC-C subset as a model-agnostic App. Op arguments
 // are JSON-encoded workload.TPCCOp descriptors, so any workload.TPCCGen
-// stream drives any cell.
+// stream drives any cell; workload.ParseTPCCOp decodes them for every op.
 func TPCCApp() *App {
-	app := NewApp("tpcc")
-	keys := func(args []byte) []string {
-		var op workload.TPCCOp
-		json.Unmarshal(args, &op)
-		return op.Keys()
-	}
-	app.Register(Op{Name: workload.TPCCNewOrder.String(), Keys: keys, Body: tpccNewOrder})
-	app.Register(Op{Name: workload.TPCCPayment.String(), Keys: keys, Body: tpccPayment})
-	app.Register(Op{Name: workload.TPCCOrderStatus.String(), Keys: keys, ReadOnly: true, Body: tpccOrderStatus})
-	app.Register(Op{Name: workload.TPCCStockLevel.String(), Keys: keys, ReadOnly: true, Body: tpccStockLevel})
-	return app
+	parse, keys := workload.ParseTPCCOp, workload.TPCCOp.Keys
+	return NewApp("tpcc").
+		Register(opFor(workload.TPCCNewOrder.String(), parse, keys, tpccNewOrder)).
+		Register(opFor(workload.TPCCPayment.String(), parse, keys, tpccPayment)).
+		Register(queryFor(workload.TPCCOrderStatus.String(), parse, keys, tpccOrderStatus)).
+		Register(queryFor(workload.TPCCStockLevel.String(), parse, keys, tpccStockLevel))
 }
 
 // tpccOrderStatusResult is order-status's wire result.
@@ -73,11 +68,7 @@ func tpccOpName(op workload.TPCCOp) string { return op.Kind.String() }
 // tpccNewOrder issues one order: bump the district's order counter and
 // draw down stock for every line, restocking when a line would leave the
 // shelf below the floor.
-func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func tpccNewOrder(tx Txn, op workload.TPCCOp) ([]byte, error) {
 	if err := tx.Add(workload.DistrictKey(op.Warehouse, op.District), 1); err != nil {
 		return nil, err
 	}
@@ -118,11 +109,7 @@ func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
 
 // tpccPayment applies one payment: warehouse YTD up, customer balance
 // down — pure commutative deltas, so every cell keeps them exact.
-func tpccPayment(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func tpccPayment(tx Txn, op workload.TPCCOp) ([]byte, error) {
 	if err := tx.Add(workload.WarehouseKey(op.Warehouse), op.Amount); err != nil {
 		return nil, err
 	}
@@ -136,11 +123,7 @@ func tpccPayment(tx Txn, args []byte) ([]byte, error) {
 // tpccOrderStatus answers the standard's OrderStatus query from the
 // customer's balance and the district's order counter — a pure read over
 // its two declared keys, which every cell serves on its query fast path.
-func tpccOrderStatus(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func tpccOrderStatus(tx Txn, op workload.TPCCOp) ([]byte, error) {
 	balRaw, _, err := tx.Get(workload.CustomerKey(op.Warehouse, op.District, op.Customer))
 	if err != nil {
 		return nil, err
@@ -155,11 +138,7 @@ func tpccOrderStatus(tx Txn, args []byte) ([]byte, error) {
 // tpccStockLevel answers the standard's StockLevel query: how many of the
 // inspected items sit below the threshold. Untouched stock keys read as
 // tpccInitialStock, mirroring tpccNewOrder's implicit initialization.
-func tpccStockLevel(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
-		return nil, err
-	}
+func tpccStockLevel(tx Txn, op workload.TPCCOp) ([]byte, error) {
 	threshold := op.Threshold
 	if threshold == 0 {
 		threshold = tpccStockLevelThreshold
@@ -208,8 +187,10 @@ func NewTPCCAuditor() *TPCCAuditor {
 				if opName != workload.TPCCPayment.String() {
 					return nil
 				}
-				var op workload.TPCCOp
-				json.Unmarshal(args, &op)
+				op, err := workload.ParseTPCCOp(args)
+				if err != nil {
+					return nil
+				}
 				return map[string]int64{workload.WarehouseKey(op.Warehouse): op.Amount}
 			},
 			Describe: func(key string, got, want int64) string {
@@ -222,8 +203,10 @@ func NewTPCCAuditor() *TPCCAuditor {
 				if opName != workload.TPCCNewOrder.String() {
 					return nil
 				}
-				var op workload.TPCCOp
-				json.Unmarshal(args, &op)
+				op, err := workload.ParseTPCCOp(args)
+				if err != nil {
+					return nil
+				}
 				return map[string]int64{workload.DistrictKey(op.Warehouse, op.District): 1}
 			},
 			Describe: func(key string, got, want int64) string {
